@@ -42,6 +42,11 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # regardless of machine. The trace guard does the same for container
 # ingest: columnar (v2) payloads must never read slower than the row
 # (v1) format they replace.
+# The TRG guard holds the slot reduction of a reference-shaped graph
+# (~1000 blocks, near-complete) to at most the cost of building that
+# graph from its 240k-event trace, both from the same run: the dense-rank
+# reduction measures ~0.6×, while a return to hash-keyed working graphs
+# and a lazy heap of stale entries measures ~5× and fails.
 # The static/locality ceiling is absolute: the trace-free locality pass
 # (working sets, synthetic reuse/footprint, Eq-1 composition, conflict
 # term) must finish under 1 ms on the largest registry workload — the
@@ -60,5 +65,6 @@ cargo run -q --release -p clop-bench --bin bench_gate -- \
   --guard serve/ingest/session serve/ingest/raw 1.05 \
   --guard cachesim/solo_flat/1000000 cachesim/solo_scalar/1000000 0.40 \
   --guard trace/read_container_v2/loopy_4m trace/read_container_v1/loopy_4m 1.00 \
+  --guard trg/reduce_dense trg/build_dense 1.0 \
   --ceiling static/locality/403.gcc 1000000 \
   BENCH_baseline.json "$out1" "$out2"

@@ -57,4 +57,21 @@ fn main() {
     r.bench("trg/layout_default", || {
         clop_trg::trg_layout(&trace, TrgConfig::default())
     });
+
+    // Reference-shaped graph: 240k events over ~1000 blocks under the
+    // default window (256) and slot count (128) give a near-complete TRG,
+    // like the reference profiles' (~1000 blocks, ~440k edges). The
+    // 128-block rows above cannot see the cost of a reduction that grows
+    // with the edge count. Both rows share one trace, so their ratio is
+    // machine-independent; quick mode keeps the full size, because a
+    // shorter trace would shrink the build but not the near-complete graph.
+    {
+        let config = TrgConfig::default();
+        let trace = synthetic_trace(240_000, 1000);
+        r.bench_with_elements("trg/build_dense", Some(trace.len() as u64), || {
+            Trg::build(&trace, config.window)
+        });
+        let trg = Trg::build(&trace, config.window);
+        r.bench("trg/reduce_dense", || reduce(&trg, config.slots, &trace));
+    }
 }

@@ -5,7 +5,7 @@
 
 use clop_trace::shard::shards;
 use clop_trace::shardfile::{read_shard, split_shards};
-use clop_trace::{TraceStats, TrimmedTrace};
+use clop_trace::{StatsState, TraceStats, TrimmedTrace};
 use clop_trg::{reduce, reduce_from_stats, Trg, TrgDelta, TrgState};
 use clop_util::check::{check_n, vec_of_indices};
 use clop_util::Rng;
@@ -121,6 +121,52 @@ fn snapshot_mid_stream_resumes_identically() {
         assert_eq!(sorted_edges(&folded), sorted_edges(&batch));
         assert_eq!(folded.nodes(), batch.nodes());
     });
+}
+
+#[test]
+fn partial_fold_of_a_later_shard_reduces() {
+    // Shard 1 alone: its node order is [3, 0, 4, 5, 6], but its edges also
+    // name blocks 1, 2, 7 and 8, whose first appearance lies in shard 0's
+    // core. The reduction must still order every block it sees.
+    let t = TrimmedTrace::from_indices([0, 7, 8, 1, 2, 3, 0, 4, 5, 6, 4]);
+    let window = 16;
+    let regions = shards(&t, 2, window + 1, 0);
+    let deltas = segment_deltas(&t, 2, window);
+    let core = |i: usize| &t.events()[regions[i].core_start..regions[i].core_end];
+    let mut trg_state = TrgState::new(window);
+    let mut stats = StatsState::new();
+    trg_state.absorb(&deltas[1]).unwrap();
+    stats.absorb(1, core(1));
+    let partial = trg_state.finalize();
+    let node_ids: Vec<u32> = partial.nodes().iter().map(|b| b.0).collect();
+    assert_eq!(node_ids, vec![3, 0, 4, 5, 6]);
+    let mut expect: Vec<u32> = partial
+        .edges()
+        .flat_map(|(x, y, _)| [x.0, y.0])
+        .chain(node_ids)
+        .collect();
+    expect.sort_unstable();
+    expect.dedup();
+    assert!(expect.contains(&7), "the shard's edges reach into shard 0");
+    for k in [1usize, 2, 3, 128] {
+        let out = reduce_from_stats(&partial, k, &stats.finalize());
+        let mut seq: Vec<u32> = out.sequence.iter().map(|b| b.0).collect();
+        seq.sort_unstable();
+        assert_eq!(seq, expect, "k={}", k);
+    }
+
+    // Completing the fold restores the batch output.
+    trg_state.absorb(&deltas[0]).unwrap();
+    stats.absorb(0, core(0));
+    let batch = Trg::build(&t, window);
+    for k in [1usize, 2, 3, 128] {
+        assert_eq!(
+            reduce_from_stats(&trg_state.finalize(), k, &stats.finalize()),
+            reduce(&batch, k, &t),
+            "k={}",
+            k
+        );
+    }
 }
 
 #[test]
