@@ -47,6 +47,12 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # graph from its 240k-event trace, both from the same run: the dense-rank
 # reduction measures ~0.6×, while a return to hash-keyed working graphs
 # and a lazy heap of stale entries measures ~5× and fails.
+# The timed-core guard holds a solo run of the timed SMT core on the
+# HwLike channel to at most 1.5× a bare replay of the same 200k lines
+# through the prefetching cache it drives, both from the same run: the
+# single-pass scan measures ~1.1–1.2×, while a return to an event loop
+# that rebuilds its ready set and dispatches the cache per fetch
+# measures ~2.4–2.9× and fails.
 # The static/locality ceiling is absolute: the trace-free locality pass
 # (working sets, synthetic reuse/footprint, Eq-1 composition, conflict
 # term) must finish under 1 ms on the largest registry workload — the
@@ -66,5 +72,6 @@ cargo run -q --release -p clop-bench --bin bench_gate -- \
   --guard cachesim/solo_flat/1000000 cachesim/solo_scalar/1000000 0.40 \
   --guard trace/read_container_v2/loopy_4m trace/read_container_v1/loopy_4m 1.00 \
   --guard trg/reduce_dense trg/build_dense 1.0 \
+  --guard cachesim/timed_solo_200k cachesim/prefetch_200k 1.5 \
   --ceiling static/locality/403.gcc 1000000 \
   BENCH_baseline.json "$out1" "$out2"

@@ -63,13 +63,8 @@ pub fn paper_cache() -> CacheConfig {
     CacheConfig::paper_l1i()
 }
 
-/// The two timing channels: plain (used for the pure performance numbers)
-/// and hardware-like (prefetching; used for "hw counter" miss ratios).
-pub fn timing_plain() -> TimingConfig {
-    TimingConfig::default()
-}
-
-/// Timing with the next-line prefetcher, the HwLike channel.
+/// Timing with the next-line prefetcher, the HwLike channel: every timed
+/// experiment runs on it.
 pub fn timing_hw() -> TimingConfig {
     TimingConfig::hw_like()
 }

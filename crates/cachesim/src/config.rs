@@ -63,6 +63,35 @@ impl CacheConfig {
     }
 }
 
+/// [`CacheConfig::set_of_line`] for a hot loop: the set count is computed
+/// once, and a power-of-two count (the paper L1I has 128 sets) maps with
+/// one mask instead of the two divides `set_of_line` performs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SetIndex {
+    sets: u64,
+    /// `sets - 1` when `sets` is a power of two.
+    mask: Option<u64>,
+}
+
+impl SetIndex {
+    pub(crate) fn new(config: CacheConfig) -> Self {
+        let sets = config.num_sets();
+        SetIndex {
+            sets,
+            mask: sets.is_power_of_two().then(|| sets - 1),
+        }
+    }
+
+    /// The set `line` maps to; equals `config.set_of_line(line)`.
+    #[inline]
+    pub(crate) fn of(&self, line: u64) -> usize {
+        match self.mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets) as usize,
+        }
+    }
+}
+
 /// Access statistics of one simulated stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -126,6 +155,19 @@ mod tests {
         assert_eq!(c.set_of_line(0), 0);
         assert_eq!(c.set_of_line(128), 0);
         assert_eq!(c.set_of_line(129), 1);
+    }
+
+    #[test]
+    fn set_index_matches_set_of_line() {
+        for c in [
+            CacheConfig::paper_l1i(),
+            CacheConfig::new(3 * 4 * 64, 4, 64),
+        ] {
+            let ix = SetIndex::new(c);
+            for line in (0..1000u64).chain([u64::MAX - 3, (5 << 58) | 77]) {
+                assert_eq!(ix.of(line) as u64, c.set_of_line(line), "{:?} {}", c, line);
+            }
+        }
     }
 
     #[test]

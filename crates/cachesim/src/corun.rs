@@ -18,7 +18,7 @@
 
 pub mod naive;
 
-use crate::config::{CacheConfig, CacheStats};
+use crate::config::{CacheConfig, CacheStats, SetIndex};
 use crate::icache::{SetAssocCache, BATCH_LINES};
 
 /// Bit used to separate the two co-running address spaces. Line indices are
@@ -61,12 +61,40 @@ pub fn tag_line(line: u64, thread: usize) -> u64 {
     line | ((thread as u64) << THREAD_TAG_SHIFT)
 }
 
+/// An element of a fetch stream the replays read a cache line from: a
+/// bare line index, or a timed `(line, exec_cycles)` fetch, so a timed
+/// stream replays in place instead of through a copied line vector.
+pub trait FetchLine: Copy {
+    /// The cache line this fetch touches.
+    fn line(self) -> u64;
+}
+
+impl FetchLine for u64 {
+    #[inline]
+    fn line(self) -> u64 {
+        self
+    }
+}
+
+impl FetchLine for (u64, u32) {
+    #[inline]
+    fn line(self) -> u64 {
+        self.0
+    }
+}
+
 /// Replay one fetch stream through a private cache; returns its stats.
-/// Runs the batched probe kernel ([`SetAssocCache::access_batch`]) —
-/// bit-identical to a per-element `access` loop.
-pub fn simulate_solo_lines(lines: &[u64], config: CacheConfig) -> CacheStats {
+/// Runs the batched probe kernel ([`SetAssocCache::access_batch`]) one
+/// [`BATCH_LINES`] chunk of lines at a time — bit-identical to a
+/// per-element `access` loop.
+pub fn simulate_solo_lines<T: FetchLine>(stream: &[T], config: CacheConfig) -> CacheStats {
     let mut cache = SetAssocCache::new(config);
-    cache.access_batch(lines);
+    let mut lines = Vec::with_capacity(stream.len().min(BATCH_LINES));
+    for chunk in stream.chunks(BATCH_LINES) {
+        lines.clear();
+        lines.extend(chunk.iter().map(|f| f.line()));
+        cache.access_batch(&lines);
+    }
     cache.stats()
 }
 
@@ -201,26 +229,25 @@ pub fn simulate_corun_many(streams: &[&[u64]], config: CacheConfig) -> Vec<Cache
 /// line)` pairs, as an iterator. Exhausted streams drop out of the
 /// rotation; at two streams the order is exactly
 /// [`interleave_round_robin_iter`]'s.
-pub fn interleave_many_iter<'a>(
-    streams: &'a [&'a [u64]],
+pub fn interleave_many_iter<'a, T: FetchLine>(
+    streams: &'a [&'a [T]],
 ) -> impl Iterator<Item = (usize, u64)> + 'a {
     InterleaveMany {
-        streams,
-        cursors: vec![0; streams.len()],
+        streams: streams.iter().map(|s| s.iter()).collect(),
         next_tenant: 0,
         remaining: streams.iter().map(|s| s.len()).sum(),
     }
 }
 
-struct InterleaveMany<'a> {
-    streams: &'a [&'a [u64]],
-    cursors: Vec<usize>,
+struct InterleaveMany<'a, T> {
+    /// Each tenant's unread fetches.
+    streams: Vec<std::slice::Iter<'a, T>>,
     /// Tenant the rotation tries next (round position, not round count).
     next_tenant: usize,
     remaining: usize,
 }
 
-impl<'a> Iterator for InterleaveMany<'a> {
+impl<T: FetchLine> Iterator for InterleaveMany<'_, T> {
     type Item = (usize, u64);
 
     fn next(&mut self) -> Option<(usize, u64)> {
@@ -232,14 +259,13 @@ impl<'a> Iterator for InterleaveMany<'a> {
         let n = self.streams.len();
         let mut t = self.next_tenant;
         loop {
-            if self.cursors[t] < self.streams[t].len() {
-                let line = self.streams[t][self.cursors[t]];
-                self.cursors[t] += 1;
+            let after = if t + 1 == n { 0 } else { t + 1 };
+            if let Some(&fetch) = self.streams[t].next() {
                 self.remaining -= 1;
-                self.next_tenant = (t + 1) % n;
-                return Some((t, line));
+                self.next_tenant = after;
+                return Some((t, fetch.line()));
             }
-            t = (t + 1) % n;
+            t = after;
         }
     }
 
@@ -356,9 +382,10 @@ impl NwayCorunResult {
 /// bit-identical to [`simulate_corun_lines`] at two streams and to the
 /// historical `simulate_corun_many` loop at any width (pinned by property
 /// tests); attribution is the new observable.
-pub fn simulate_corun_nway(streams: &[&[u64]], config: CacheConfig) -> NwayCorunResult {
+pub fn simulate_corun_nway<T: FetchLine>(streams: &[&[T]], config: CacheConfig) -> NwayCorunResult {
     let tenants = streams.len();
     let mut cache = SetAssocCache::new(config);
+    let sets = SetIndex::new(config);
     let mut out = NwayCorunResult::new(tenants, config.num_sets() as usize);
     // Chunked batched replay: materialize the interleave (tagged-line +
     // tenant columns), run the reporting batch kernel, then fold stats and
@@ -366,23 +393,23 @@ pub fn simulate_corun_nway(streams: &[&[u64]], config: CacheConfig) -> NwayCorun
     // `u64::MAX` no-victim sentinel can never collide with a real victim:
     // tenant tags keep every tagged line below bit 63 (`tag_line` asserts
     // it).
-    let mut tagged: Vec<u64> = Vec::with_capacity(BATCH_LINES);
-    let mut who: Vec<u8> = Vec::with_capacity(BATCH_LINES);
+    let mut tagged = [0u64; BATCH_LINES];
+    let mut who = [0u8; BATCH_LINES];
     let mut hits = [false; BATCH_LINES];
     let mut evicted = [0u64; BATCH_LINES];
     let mut it = interleave_many_iter(streams);
     loop {
-        tagged.clear();
-        who.clear();
-        for (t, line) in it.by_ref().take(BATCH_LINES) {
-            who.push(t as u8);
-            tagged.push(tag_line(line, t));
+        let mut n = 0;
+        while n < BATCH_LINES {
+            let Some((t, line)) = it.next() else { break };
+            who[n] = t as u8;
+            tagged[n] = tag_line(line, t);
+            n += 1;
         }
-        if tagged.is_empty() {
+        if n == 0 {
             break;
         }
-        let n = tagged.len();
-        cache.access_batch_reporting(&tagged, &mut hits[..n], &mut evicted[..n]);
+        cache.access_batch_reporting(&tagged[..n], &mut hits[..n], &mut evicted[..n]);
         for i in 0..n {
             let t = who[i] as usize;
             out.per_tenant[t].record(hits[i]);
@@ -390,8 +417,7 @@ pub fn simulate_corun_nway(streams: &[&[u64]], config: CacheConfig) -> NwayCorun
             if victim_line != u64::MAX {
                 let victim = tenant_of_line(victim_line);
                 out.evictions.record(victim, t);
-                let set = config.set_of_line(tagged[i]) as usize;
-                out.evictions_by_set[set * tenants + victim] += 1;
+                out.evictions_by_set[sets.of(tagged[i]) * tenants + victim] += 1;
             }
         }
     }

@@ -103,8 +103,15 @@ impl SetAssocCache {
     /// Access a line; returns `true` on hit. Misses install the line,
     /// evicting the LRU way of its set.
     pub fn access(&mut self, line: u64) -> bool {
-        self.clock += 1;
         let set = self.config.set_of_line(line) as usize;
+        self.access_in_set(set, line)
+    }
+
+    /// [`SetAssocCache::access`] with the set already computed by the
+    /// caller; `set` must equal `config().set_of_line(line)`.
+    #[inline]
+    pub(crate) fn access_in_set(&mut self, set: usize, line: u64) -> bool {
+        self.clock += 1;
         let hit = self.touch_set(set, line);
         self.stats.record(hit);
         if !hit {
@@ -178,8 +185,15 @@ impl SetAssocCache {
     /// the prefetcher, whose speculative fills must not count as demand
     /// accesses.
     pub fn install(&mut self, line: u64) {
-        self.clock += 1;
         let set = self.config.set_of_line(line) as usize;
+        self.install_in_set(set, line);
+    }
+
+    /// [`SetAssocCache::install`] with the set already computed by the
+    /// caller; `set` must equal `config().set_of_line(line)`.
+    #[inline]
+    pub(crate) fn install_in_set(&mut self, set: usize, line: u64) {
+        self.clock += 1;
         self.touch_set(set, line);
     }
 

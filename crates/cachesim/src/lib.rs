@@ -39,7 +39,7 @@ pub use config::{CacheConfig, CacheStats};
 pub use corun::{
     interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
     simulate_corun_lines, simulate_corun_many, simulate_corun_nway, simulate_solo_lines, tag_line,
-    tenant_of_line, CorunCacheResult, EvictionMatrix, NwayCorunResult, MAX_TENANTS,
+    tenant_of_line, CorunCacheResult, EvictionMatrix, FetchLine, NwayCorunResult, MAX_TENANTS,
 };
 pub use icache::SetAssocCache;
 pub use model::{CompositionModel, InterferenceReport, NwayInterferenceReport, PeerFootprintDist};
@@ -47,7 +47,7 @@ pub use multilevel::{simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoL
 pub use occupancy::OccupancyMap;
 pub use policy::{simulate_with_policy, PolicyCache, ReplacementPolicy};
 pub use prefetch::NextLinePrefetchCache;
-pub use timing::{SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
+pub use timing::{InvalidTiming, SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
 
 /// Convenient import surface.
 pub mod prelude {
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::corun::{
         interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
         simulate_corun_lines, simulate_corun_many, simulate_corun_nway, simulate_solo_lines,
-        tag_line, tenant_of_line, CorunCacheResult, EvictionMatrix, NwayCorunResult,
+        tag_line, tenant_of_line, CorunCacheResult, EvictionMatrix, FetchLine, NwayCorunResult,
     };
     pub use crate::icache::SetAssocCache;
     pub use crate::model::{CompositionModel, InterferenceReport, NwayInterferenceReport};
@@ -63,5 +63,5 @@ pub mod prelude {
         simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoLevelResult,
     };
     pub use crate::prefetch::NextLinePrefetchCache;
-    pub use crate::timing::{SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
+    pub use crate::timing::{InvalidTiming, SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
 }

@@ -11,13 +11,15 @@
 //! on a demand miss of line `L`, line `L + 1` is installed speculatively
 //! (without counting as a demand access).
 
-use crate::config::{CacheConfig, CacheStats};
+use crate::config::{CacheConfig, CacheStats, SetIndex};
 use crate::icache::SetAssocCache;
 
 /// A set-associative cache fronted by a next-line prefetcher.
 #[derive(Clone, Debug)]
 pub struct NextLinePrefetchCache {
     inner: SetAssocCache,
+    /// Maps the demand and prefetch lines to their sets, once each.
+    sets: SetIndex,
     /// Lines installed by the prefetcher so far.
     prefetches: u64,
 }
@@ -27,6 +29,7 @@ impl NextLinePrefetchCache {
     pub fn new(config: CacheConfig) -> Self {
         NextLinePrefetchCache {
             inner: SetAssocCache::new(config),
+            sets: SetIndex::new(config),
             prefetches: 0,
         }
     }
@@ -34,9 +37,10 @@ impl NextLinePrefetchCache {
     /// Demand-access a line; on a miss, also install the next sequential
     /// line. Returns `true` on hit.
     pub fn access(&mut self, line: u64) -> bool {
-        let hit = self.inner.access(line);
+        let hit = self.inner.access_in_set(self.sets.of(line), line);
         if !hit {
-            self.inner.install(line + 1);
+            let next = line + 1;
+            self.inner.install_in_set(self.sets.of(next), next);
             self.prefetches += 1;
         }
         hit

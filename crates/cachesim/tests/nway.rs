@@ -11,12 +11,15 @@
 //!    *every* access of a randomized N-stream interleaving.
 //! 3. **Differential oracle** — the fast flat-array paths are pinned
 //!    against the straight-line `corun::naive` reference simulators
-//!    (the `NaiveLruStack` pattern), across random geometries and widths.
+//!    (the `NaiveLruStack` pattern), across random geometries and widths,
+//!    both on bare line streams and on timed `(line, exec)` streams read
+//!    in place.
 
 use clop_cachesim::corun::naive;
 use clop_cachesim::multilevel::Level;
 use clop_cachesim::{
-    simulate_corun_lines, simulate_corun_nway, simulate_nway_shared_l2, CacheConfig, NwaySharedL2,
+    simulate_corun_lines, simulate_corun_nway, simulate_nway_shared_l2, simulate_solo_lines,
+    CacheConfig, NwaySharedL2,
 };
 use clop_util::check::{check, check_n, vec_of};
 use clop_util::Rng;
@@ -176,6 +179,34 @@ fn fast_single_level_matches_naive_reference() {
         let fast = simulate_corun_nway(&slices, cfg);
         let reference = naive::simulate_corun_nway(&slices, cfg);
         assert_eq!(fast, reference);
+    });
+}
+
+/// Timed `(line, exec)` streams replay in place exactly as their bare
+/// line streams do: the N-way replay equals the `u64` path and the
+/// reference, and the solo replay equals the `u64` path and a one-tenant
+/// reference run — with streams long enough to cross the replay's
+/// batch-chunk boundaries.
+#[test]
+fn timed_streams_replay_like_their_lines() {
+    check_n("timed_streams_replay_like_their_lines", 100, |rng| {
+        let cfg = random_cfg(rng);
+        let mut streams = random_streams(rng, 8, 160, 200);
+        streams.push(lines(rng, 160, 5000));
+        let timed: Vec<Vec<(u64, u32)>> = streams
+            .iter()
+            .map(|s| s.iter().map(|&l| (l, rng.gen_below(50) as u32)).collect())
+            .collect();
+        let slices = as_slices(&streams);
+        let timed_slices: Vec<&[(u64, u32)]> = timed.iter().map(|s| s.as_slice()).collect();
+        let replayed = simulate_corun_nway(&timed_slices, cfg);
+        assert_eq!(replayed, simulate_corun_nway(&slices, cfg));
+        assert_eq!(replayed, naive::simulate_corun_nway(&slices, cfg));
+        for (s, t) in streams.iter().zip(&timed) {
+            let solo = simulate_solo_lines(t, cfg);
+            assert_eq!(solo, simulate_solo_lines(s, cfg));
+            assert_eq!(solo, naive::simulate_corun_nway(&[s], cfg).per_tenant[0]);
+        }
     });
 }
 

@@ -115,7 +115,7 @@ impl ProgramRun {
 
     /// Solo miss statistics on the pure-simulation channel.
     pub fn solo_sim(&self) -> CacheStats {
-        simulate_solo_lines(&self.lines(), self.cache)
+        simulate_solo_lines(&self.stream, self.cache)
     }
 
     /// Co-run miss statistics (round-robin SMT interleave) on the
@@ -128,10 +128,8 @@ impl ProgramRun {
     /// the peers tenants 1..=N, all sharing one cache with round-robin
     /// interleave and full eviction attribution.
     pub fn corun_sim_nway(&self, peers: &[&ProgramRun]) -> NwayCorunResult {
-        let own = self.lines();
-        let peer_lines: Vec<Vec<u64>> = peers.iter().map(|p| p.lines()).collect();
-        let mut streams: Vec<&[u64]> = vec![&own];
-        streams.extend(peer_lines.iter().map(|l| l.as_slice()));
+        let mut streams = vec![self.stream.as_slice()];
+        streams.extend(peers.iter().map(|p| p.stream.as_slice()));
         simulate_corun_nway(&streams, self.cache)
     }
 
