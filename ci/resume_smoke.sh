@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
-# Checkpoint/resume smoke test for exp_all.
+# Full-size golden and checkpoint/resume smoke test for `exp all`.
 #
-# Scenario: a full experiment batch is SIGKILLed mid-run, then re-launched
-# with CLOP_RESUME=1. The resumed batch must (a) skip every experiment the
+# First, an uninterrupted reference run of the whole suite must reproduce
+# the committed `results/`: every `results/*.json` byte for byte, and its
+# stdout must equal `results/all_experiments.txt`.
+#
+# Then a full experiment batch is SIGKILLed mid-run and re-launched with
+# CLOP_RESUME=1. The resumed batch must (a) skip every experiment the
 # checkpoint marks complete, (b) finish successfully, and (c) leave a
-# results directory byte-identical to an uninterrupted reference run —
-# the checkpoint protocol (artifact first, then `.done` record, both
-# written atomically) makes this hold for a kill at *any* instant.
+# results directory byte-identical to the reference run — the checkpoint
+# protocol (artifact first, then `.done` record, both written atomically)
+# makes this hold for a kill at *any* instant.
 #
-# Usage: ci/resume_smoke.sh [path-to-exp_all]
+# Usage: ci/resume_smoke.sh [path-to-exp]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-EXP_ALL=${1:-target/release/exp_all}
-if [[ ! -x "$EXP_ALL" ]]; then
-    echo "building exp_all (release)..."
-    cargo build --release -p clop-bench --bin exp_all
+EXP=${1:-target/release/exp}
+if [[ ! -x "$EXP" ]]; then
+    echo "building exp (release)..."
+    cargo build --release -p clop-bench --bin exp
 fi
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/clop-resume-smoke.XXXXXX")
@@ -24,10 +28,20 @@ REF="$WORK/ref"
 RES="$WORK/resumed"
 
 echo "== reference run (uninterrupted) =="
-CLOP_RESULTS_DIR="$REF" "$EXP_ALL" --jobs 2 >"$WORK/ref.out" 2>"$WORK/ref.err"
+CLOP_RESULTS_DIR="$REF" "$EXP" all --jobs 2 >"$WORK/ref.out" 2>"$WORK/ref.err"
+
+echo "== comparing the reference run with the committed results/ =="
+if ! diff -r --exclude=.checkpoint --exclude=all_experiments.txt results "$REF" ||
+    ! cmp "$WORK/ref.out" results/all_experiments.txt; then
+    echo "FAIL: the reference run differs from the committed results/." >&2
+    echo "If the change is intended, regenerate them with:" >&2
+    echo "  cargo build --release -p clop-bench --bin exp &&" \
+         "./target/release/exp all --jobs 2 > results/all_experiments.txt" >&2
+    exit 1
+fi
 
 echo "== interrupted run (SIGKILL after the first checkpoints land) =="
-CLOP_RESULTS_DIR="$RES" "$EXP_ALL" --jobs 2 >"$WORK/int.out" 2>"$WORK/int.err" &
+CLOP_RESULTS_DIR="$RES" "$EXP" all --jobs 2 >"$WORK/int.out" 2>"$WORK/int.err" &
 PID=$!
 # Wait until at least two experiments have checkpointed, then kill -9.
 for _ in $(seq 1 600); do
@@ -35,7 +49,7 @@ for _ in $(seq 1 600); do
         break
     fi
     if ! kill -0 "$PID" 2>/dev/null; then
-        echo "FAIL: exp_all exited before it could be interrupted" >&2
+        echo "FAIL: exp all exited before it could be interrupted" >&2
         exit 1
     fi
     sleep 0.1
@@ -50,7 +64,7 @@ if [[ "$DONE_AT_KILL" -lt 1 ]]; then
 fi
 
 echo "== resumed run (CLOP_RESUME=1) =="
-CLOP_RESULTS_DIR="$RES" CLOP_RESUME=1 "$EXP_ALL" --jobs 2 \
+CLOP_RESULTS_DIR="$RES" CLOP_RESUME=1 "$EXP" all --jobs 2 \
     >"$WORK/res.out" 2>"$WORK/res.err"
 
 SKIPPED=$(grep -c "skipped via CLOP_RESUME" "$WORK/res.out" || true)
@@ -66,5 +80,6 @@ if ! diff -r --exclude=.checkpoint "$REF" "$RES"; then
     exit 1
 fi
 
-echo "PASS: resume after SIGKILL reproduced the reference byte-for-byte" \
+echo "PASS: the reference run matches results/, and resume after SIGKILL" \
+     "reproduced it byte-for-byte" \
      "($DONE_AT_KILL checkpointed before kill, $SKIPPED skipped on resume)"

@@ -11,13 +11,12 @@
 //! The analysis is a single LRU-stack pass over the trace, following the
 //! paper's §II-B recipe ("we run a stack simulation of the trace; at each
 //! step we see all basic blocks that occur in a w-window with the accessed
-//! block") on top of the §II-F stack machinery — the Olken/Fenwick engine
-//! of `clop_trace::stack`, so each promotion costs O(log B) instead of a
-//! walk to the accessed block's depth. At each access the analyzer reads
-//! the *walk*: the `w_max + 1` most recent distinct blocks with their
-//! last-access positions. Only partners inside the walk can resolve or
-//! witness anything within the bound, so all pair work is confined to
-//! `w_max - 1` partners per access:
+//! block"). It keeps only the top of the stack, the *walk*: the
+//! `w_max + 1` most recent distinct blocks with their last-access
+//! positions, as two small arrays promoted in place (truncated LRU, which
+//! is exact for the top entries; see [`crate::shard`]). Only partners
+//! inside the walk can resolve or witness anything within the bound, so
+//! all pair work is confined to `w_max - 1` partners per access:
 //!
 //! * an access of `a` credits each walk partner `x`'s uncovered
 //!   occurrences, either with the forward footprint `fp<occurrence, now>`
@@ -36,10 +35,9 @@
 //! mergeable: see [`crate::shard`] for the parallel driver that this
 //! sequential entry point shares its engine with.
 //!
-//! Cost is O(N·(w_max + log B)) stack work plus one credit per
-//! (occurrence, co-resident pair) — the paper's O(W·N·B) bound with the
-//! dense `B` factor replaced by actual co-residence counts and the
-//! unbounded promotion walks replaced by Fenwick queries.
+//! Cost is O(N·w_max) stack work plus one credit per (occurrence,
+//! co-resident pair) — the paper's O(W·N·B) bound with the dense `B`
+//! factor replaced by actual co-residence counts.
 
 use clop_trace::{BlockId, TrimmedTrace};
 use clop_util::FxHashMap;

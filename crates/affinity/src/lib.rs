@@ -16,10 +16,10 @@
 //! * [`analyzer`] — the efficient single-pass stack method the paper
 //!   describes in §II-B ("we run a stack simulation of the trace; at each
 //!   step we see all basic blocks that occur in a w-window with the
-//!   accessed block"), O(W·N) per trace. It witnesses co-occurrences
-//!   against each block's *most recent* occurrence, which makes it
-//!   conservative: it never reports affinity the naive analyzer would
-//!   reject (property-tested in this crate).
+//!   accessed block"), O(W·N) per trace, run shard-parallel by [`shard`].
+//!   It is exact up to the window bound: every pair threshold `≤ w_max`
+//!   equals the naive analyzer's (tested in `analyzer.rs` and
+//!   `tests/shard_identity.rs`).
 //!
 //! [`hierarchy`] turns pairwise thresholds into the level-by-level
 //! partition with the paper's "lower-level group takes precedence" rule and
@@ -35,14 +35,12 @@
 pub mod analyzer;
 pub mod hierarchy;
 pub mod incremental;
-pub mod linkbased;
 pub mod naive;
 pub mod shard;
 
 pub use analyzer::PairThresholds;
 pub use hierarchy::{AffinityHierarchy, AffinityPartition};
 pub use incremental::{AffinityDelta, AffinityState};
-pub use linkbased::{LinkHierarchy, LinkPartition};
 
 use clop_trace::{BlockId, TrimmedTrace};
 

@@ -3,7 +3,7 @@
 //! compile-time analysis costs "a couple of times of original compilation
 //! time"; here the baseline is the profiling run itself.
 
-use clop_core::{Optimizer, OptimizerKind, Profile, ProfileConfig};
+use clop_core::{build_pipeline, PipelineParams, Profile, ProfileConfig, PIPELINES};
 use clop_util::bench::{quick, Runner};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 
@@ -17,12 +17,15 @@ fn main() {
 
     // `--jobs N` shards the locality analyses; the layouts (and therefore
     // the goldens) are bit-identical for any worker count.
-    for kind in OptimizerKind::ALL {
-        let mut opt = Optimizer::new(kind);
-        opt.profile = ProfileConfig::with_exec(w.test_exec);
-        opt.jobs = r.jobs();
-        r.bench(&format!("e2e/optimize/{}", kind), || {
-            opt.optimize(&w.module).expect("sjeng supports all four")
+    for name in PIPELINES {
+        let mut params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+        params.profile = ProfileConfig::with_exec(w.test_exec);
+        params.jobs = r.jobs();
+        r.bench(&format!("e2e/optimize/{}", name), || {
+            build_pipeline(name, &params)
+                .expect("a paper pipeline")
+                .optimize(&w.module)
+                .expect("sjeng supports all four")
         });
     }
 
@@ -30,12 +33,15 @@ fn main() {
     // dominate end-to-end time; skipped in smoke mode, which has no input
     // scaling here.
     if !quick() {
-        for kind in [OptimizerKind::BbAffinity, OptimizerKind::BbTrg] {
-            let mut opt = Optimizer::new(kind);
-            opt.profile = ProfileConfig::with_exec(w.ref_exec);
-            opt.jobs = r.jobs();
-            r.bench(&format!("e2e/optimize_ref/{}", kind), || {
-                opt.optimize(&w.module).expect("sjeng supports bb kinds")
+        for name in ["bb-affinity", "bb-trg"] {
+            let mut params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+            params.profile = ProfileConfig::with_exec(w.ref_exec);
+            params.jobs = r.jobs();
+            r.bench(&format!("e2e/optimize_ref/{}", name), || {
+                build_pipeline(name, &params)
+                    .expect("a paper pipeline")
+                    .optimize(&w.module)
+                    .expect("sjeng supports bb pipelines")
             });
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::experiment::ExperimentCtx;
 use crate::timing_hw;
-use clop_core::{OptimizerKind, ProgramRun};
+use clop_core::ProgramRun;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ impl ToJson for PairResult {
     }
 }
 
-/// All co-run results of one optimizer for one subject program.
+/// All co-run results of one pipeline for one subject program.
 #[derive(Clone, Debug)]
 pub struct SubjectResult {
     /// Subject program name.
@@ -78,21 +78,21 @@ impl SubjectResult {
 }
 
 /// Pre-evaluated programs: baselines for all 8 primaries plus optimized
-/// variants per optimizer (None where the optimizer failed — the paper's
+/// variants per pipeline (None where the pipeline failed — the paper's
 /// N/A entries). Runs are engine-shared `Arc`s; preparing two labs in one
 /// process costs one evaluation sweep.
 pub struct CorunLab {
     /// Baseline run per primary benchmark.
     pub baselines: HashMap<PrimaryBenchmark, Arc<ProgramRun>>,
-    /// Optimized run per (benchmark, optimizer).
-    pub optimized: HashMap<(PrimaryBenchmark, OptimizerKind), Option<Arc<ProgramRun>>>,
+    /// Optimized run per (benchmark, pipeline name).
+    pub optimized: HashMap<(PrimaryBenchmark, &'static str), Option<Arc<ProgramRun>>>,
 }
 
 impl CorunLab {
     /// Evaluate every baseline and every optimized variant, fanned out
     /// over the context's worker pool.
-    pub fn prepare(ctx: &ExperimentCtx, kinds: &[OptimizerKind]) -> CorunLab {
-        CorunLab::prepare_subset(ctx, &PrimaryBenchmark::ALL, kinds)
+    pub fn prepare(ctx: &ExperimentCtx, pipelines: &[&'static str]) -> CorunLab {
+        CorunLab::prepare_subset(ctx, &PrimaryBenchmark::ALL, pipelines)
     }
 
     /// Like [`CorunLab::prepare`], restricted to a benchmark subset. The
@@ -101,20 +101,20 @@ impl CorunLab {
     pub fn prepare_subset(
         ctx: &ExperimentCtx,
         benches: &[PrimaryBenchmark],
-        kinds: &[OptimizerKind],
+        pipelines: &[&'static str],
     ) -> CorunLab {
-        let mut work: Vec<(PrimaryBenchmark, Option<OptimizerKind>)> = Vec::new();
+        let mut work: Vec<(PrimaryBenchmark, Option<&'static str>)> = Vec::new();
         for &b in benches {
             work.push((b, None));
-            for &k in kinds {
-                work.push((b, Some(k)));
+            for &p in pipelines {
+                work.push((b, Some(p)));
             }
         }
         let runs = ctx.map(work, |_, (b, k)| {
             let w = primary_program(b);
             let run = match k {
                 None => Some(ctx.baseline(&w)),
-                Some(kind) => ctx.optimized(&w, kind).ok(),
+                Some(pipeline) => ctx.optimized(&w, pipeline).ok(),
             };
             (b, k, run)
         });
@@ -126,8 +126,8 @@ impl CorunLab {
                 None => {
                     baselines.insert(b, run.expect("baselines always evaluate"));
                 }
-                Some(kind) => {
-                    optimized.insert((b, kind), run);
+                Some(pipeline) => {
+                    optimized.insert((b, pipeline), run);
                 }
             }
         }
@@ -137,18 +137,18 @@ impl CorunLab {
         }
     }
 
-    /// One subject × probe co-run cell for one optimizer. Returns `None`
-    /// when the optimizer failed on the subject (N/A). Cells are
-    /// independent, so callers may fan all (subject, kind, probe) triples
+    /// One subject × probe co-run cell for one pipeline. Returns `None`
+    /// when the pipeline failed on the subject (N/A). Cells are
+    /// independent, so callers may fan all (subject, pipeline, probe) triples
     /// over the worker pool; reassembling in input order reproduces the
     /// serial tables byte for byte.
     pub fn pair_result(
         &self,
         subject: PrimaryBenchmark,
-        kind: OptimizerKind,
+        pipeline: &'static str,
         probe: PrimaryBenchmark,
     ) -> Option<PairResult> {
-        let opt = self.optimized.get(&(subject, kind))?.as_deref()?;
+        let opt = self.optimized.get(&(subject, pipeline))?.as_deref()?;
         let base = self.baselines[&subject].as_ref();
         let probe_run = self.baselines[&probe].as_ref();
         let timing = timing_hw();
@@ -168,23 +168,23 @@ impl CorunLab {
         })
     }
 
-    /// The co-run comparison of `subject` optimized with `kind`, against
-    /// every probe. Returns `None` when the optimizer failed on the
+    /// The co-run comparison of `subject` optimized with `pipeline`,
+    /// against every probe. Returns `None` when the pipeline failed on the
     /// subject (N/A).
     pub fn subject_result(
         &self,
         subject: PrimaryBenchmark,
-        kind: OptimizerKind,
+        pipeline: &'static str,
         probes: &[PrimaryBenchmark],
     ) -> Option<SubjectResult> {
         // N/A check up front so an empty probe list still reports N/A.
-        self.optimized.get(&(subject, kind))?.as_deref()?;
+        self.optimized.get(&(subject, pipeline))?.as_deref()?;
         let per_probe: Option<Vec<(String, PairResult)>> = probes
             .iter()
             .map(|&probe| {
                 Some((
                     probe.name().to_string(),
-                    self.pair_result(subject, kind, probe)?,
+                    self.pair_result(subject, pipeline, probe)?,
                 ))
             })
             .collect();

@@ -3,17 +3,17 @@
 //! Every table/figure of the paper is one [`Experiment`]: a name (also the
 //! `results/<name>.json` artifact stem), a title, and a pure function from
 //! an [`ExperimentCtx`] to an [`ExperimentResult`] (rendered text plus the
-//! JSON record). The `exp_*` binaries are thin shims over [`cli_main`];
-//! `exp_all` iterates [`all`] in-process so every experiment shares one
-//! memoizing [`Engine`].
+//! JSON record). The `exp` binary runs one of them by name, or iterates
+//! [`all`] in-process (`exp all`) so every experiment shares one memoizing
+//! [`Engine`].
 //!
 //! The context carries the evaluation engine and the `--jobs` worker
 //! count. Experiments fan independent work out through [`ExperimentCtx::map`]
 //! (a scoped-thread pool with deterministic, input-ordered results), so
 //! `--jobs N` output is byte-identical to `--jobs 1`.
 
-use crate::{eval_config, optimizer_for, write_json};
-use clop_core::{Engine, OptError, OptimizedProgram, Optimizer, OptimizerKind, ProgramRun};
+use crate::{eval_config, optimizer_for};
+use clop_core::{Engine, OptError, OptimizedProgram, PipelineParams, ProgramRun};
 use clop_ir::{Layout, Module};
 use clop_util::pool::{default_jobs, parallel_map};
 use clop_util::Json;
@@ -53,34 +53,27 @@ impl ExperimentCtx {
         self.evaluate(&w.module, &Layout::original(&w.module), &eval_config(w))
     }
 
-    /// Optimize a workload with `kind` (profiling on the test input),
-    /// memoized. `Err` carries the paper's "N/A" cases.
-    pub fn optimize(
-        &self,
-        w: &Workload,
-        kind: OptimizerKind,
-    ) -> Result<Arc<OptimizedProgram>, OptError> {
-        self.optimize_with(&w.module, &optimizer_for(w, kind))
+    /// Optimize a workload with the pipeline `name` at its default
+    /// parameters (profiling on the test input), memoized. `Err` carries
+    /// the paper's "N/A" cases.
+    pub fn optimize(&self, w: &Workload, name: &str) -> Result<Arc<OptimizedProgram>, OptError> {
+        self.optimize_with(&w.module, name, &optimizer_for(w, name))
     }
 
-    /// Optimize with an explicitly configured optimizer (ablations tweak
-    /// its model parameters before dispatch), memoized on the parameters.
+    /// Optimize with explicitly configured parameters (ablations tweak the
+    /// model parameters before dispatch), memoized on the parameters.
     pub fn optimize_with(
         &self,
         module: &Module,
-        opt: &Optimizer,
+        name: &str,
+        params: &PipelineParams,
     ) -> Result<Arc<OptimizedProgram>, OptError> {
-        self.engine
-            .optimize(module, &opt.kind.to_string(), &opt.params())
+        self.engine.optimize(module, name, params)
     }
 
     /// Optimize a workload and evaluate the result on the reference input.
-    pub fn optimized(
-        &self,
-        w: &Workload,
-        kind: OptimizerKind,
-    ) -> Result<Arc<ProgramRun>, OptError> {
-        let o = self.optimize(w, kind)?;
+    pub fn optimized(&self, w: &Workload, name: &str) -> Result<Arc<ProgramRun>, OptError> {
+        let o = self.optimize(w, name)?;
         Ok(self.evaluate(&o.module, &o.layout, &eval_config(w)))
     }
 
@@ -111,13 +104,13 @@ pub struct ExperimentResult {
 pub struct Experiment {
     /// Stable name; also the `results/<name>.json` stem and the CLI name.
     pub name: &'static str,
-    /// One-line description shown by `exp_all`.
+    /// One-line description shown by `exp` when it lists the experiments.
     pub title: &'static str,
     /// The experiment body.
     pub run: fn(&ExperimentCtx) -> ExperimentResult,
 }
 
-/// Every experiment, in the canonical `exp_all` order.
+/// Every experiment, in the canonical `exp all` order.
 pub fn all() -> Vec<Experiment> {
     use crate::experiments::*;
     vec![
@@ -229,13 +222,6 @@ pub fn find(name: &str) -> Option<Experiment> {
     all().into_iter().find(|e| e.name == name)
 }
 
-/// Run one experiment: print its report and write its JSON artifact.
-pub fn run_and_write(exp: &Experiment, ctx: &ExperimentCtx) {
-    let result = (exp.run)(ctx);
-    print!("{}", result.text);
-    write_json(exp.name, &result.json);
-}
-
 /// Parse `--jobs N` / `--jobs=N` from the process arguments; defaults to
 /// the machine's available parallelism.
 pub fn jobs_from_args() -> usize {
@@ -264,32 +250,6 @@ fn parse_jobs(v: &str) -> usize {
         _ => {
             eprintln!("--jobs expects a positive integer, got {:?}", v);
             std::process::exit(2);
-        }
-    }
-}
-
-/// Entry point for the thin `exp_*` binaries: run the named experiment
-/// with `--jobs` from the CLI, under the same panic isolation and
-/// `CLOP_EXP_TIMEOUT` watchdog as `exp_all`. Exits nonzero on failure.
-pub fn cli_main(name: &str) {
-    let Some(exp) = find(name) else {
-        eprintln!("unknown experiment {:?}", name);
-        eprintln!("known experiments:");
-        for e in all() {
-            eprintln!("  {:<24} {}", e.name, e.title);
-        }
-        std::process::exit(2);
-    };
-    let ctx = std::sync::Arc::new(ExperimentCtx::new(jobs_from_args()));
-    let opts = crate::runner::SuiteOptions::from_env();
-    match crate::runner::run_supervised(&exp, &ctx, opts.timeout) {
-        Ok(result) => {
-            print!("{}", result.text);
-            write_json(exp.name, &result.json);
-        }
-        Err(e) => {
-            eprintln!("experiment `{}` failed: {}", name, e);
-            std::process::exit(1);
         }
     }
 }

@@ -11,7 +11,6 @@
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{paper_cache, pct, pct0, render_table};
 use clop_cachesim::{simulate_with_policy, ReplacementPolicy};
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::fmt::Write as _;
@@ -42,10 +41,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let streams: Vec<(Vec<u64>, Vec<u64>)> = ctx.map(benches.to_vec(), |_, b| {
         let w = primary_program(b);
         let base = ctx.baseline(&w).lines();
-        let opt = ctx
-            .optimized(&w, OptimizerKind::BbAffinity)
-            .expect("supported")
-            .lines();
+        let opt = ctx.optimized(&w, "bb-affinity").expect("supported").lines();
         (base, opt)
     });
 

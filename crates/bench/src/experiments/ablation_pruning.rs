@@ -9,7 +9,6 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{eval_config, optimizer_for, pct, pct0, render_table};
-use clop_core::OptimizerKind;
 use clop_trace::Pruner;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
@@ -38,10 +37,10 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let points: Vec<Point> = ctx.map(
         vec![10usize, 25, 50, 100, 200, 400, 800, 10_000],
         |_, budget| {
-            let mut opt = optimizer_for(&w, OptimizerKind::BbAffinity);
-            opt.profile.prune = Some(Pruner::new(budget));
+            let mut params = optimizer_for(&w, "bb-affinity");
+            params.profile.prune = Some(Pruner::new(budget));
             let o = ctx
-                .optimize_with(&w.module, &opt)
+                .optimize_with(&w.module, "bb-affinity", &params)
                 .expect("gobmk supports BB reordering");
             let run = ctx.evaluate(&o.module, &o.layout, &eval_config(&w));
             Point {

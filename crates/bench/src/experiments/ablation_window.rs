@@ -15,7 +15,6 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{eval_config, optimizer_for, pct, render_table};
-use clop_core::OptimizerKind;
 use clop_trg::TrgConfig;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
@@ -45,10 +44,10 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let base = ctx.baseline(&w).solo_sim();
     let aff_points: Vec<(u32, f64)> =
         ctx.map(vec![2u32, 4, 6, 8, 12, 16, 20, 28, 40], |_, w_max| {
-            let mut opt = optimizer_for(&w, OptimizerKind::BbAffinity);
-            opt.affinity.w_max = w_max;
+            let mut params = optimizer_for(&w, "bb-affinity");
+            params.affinity.w_max = w_max;
             let o = ctx
-                .optimize_with(&w.module, &opt)
+                .optimize_with(&w.module, "bb-affinity", &params)
                 .expect("gobmk supports BB reordering");
             let run = ctx.evaluate(&o.module, &o.layout, &eval_config(&w));
             (w_max, base.reduction_to(&run.solo_sim()))
@@ -76,13 +75,13 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let base2 = ctx.baseline(&w2).solo_sim();
     let trg_points: Vec<(u32, f64)> =
         ctx.map(vec![8u32, 16, 32, 64, 128, 256, 512], |_, window| {
-            let mut opt = optimizer_for(&w2, OptimizerKind::FunctionTrg);
-            opt.trg = TrgConfig {
+            let mut params = optimizer_for(&w2, "function-trg");
+            params.trg = TrgConfig {
                 window: window as usize,
-                slots: opt.trg.slots,
+                slots: params.trg.slots,
             };
             let o = ctx
-                .optimize_with(&w2.module, &opt)
+                .optimize_with(&w2.module, "function-trg", &params)
                 .expect("function reordering always works");
             let run = ctx.evaluate(&o.module, &o.layout, &eval_config(&w2));
             (window, base2.reduction_to(&run.solo_sim()))

@@ -15,7 +15,7 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{eval_config, optimizer_for, pct0, render_table};
-use clop_core::{baseline, OptimizerKind, Profile, ProfileConfig, ProgramRun};
+use clop_core::{baseline, Profile, ProfileConfig, ProgramRun};
 use clop_ir::Interpreter;
 use clop_trg::{place_with_padding, reduce, Trg};
 use clop_util::{Json, ToJson};
@@ -65,9 +65,9 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         let profile = Profile::collect(&w.module, &ProfileConfig::with_exec(w.test_exec));
         let ph = baseline::pettis_hansen_function_order(&w.module, &profile.func_trace);
         push("pettis-hansen", &ctx.evaluate(&w.module, &ph, &cfg));
-        for kind in [OptimizerKind::FunctionAffinity, OptimizerKind::FunctionTrg] {
-            let o = ctx.optimize(&w, kind).expect("fn opt");
-            push(&kind.to_string(), &ctx.evaluate(&o.module, &o.layout, &cfg));
+        for name in ["function-affinity", "function-trg"] {
+            let o = ctx.optimize(&w, name).expect("fn opt");
+            push(name, &ctx.evaluate(&o.module, &o.layout, &cfg));
         }
 
         // Basic-block granularity.
@@ -78,7 +78,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
             "intra-bb (classic)",
             &ctx.evaluate(&intra_mod, &intra, &cfg),
         );
-        if let Ok(o) = ctx.optimize(&w, OptimizerKind::BbAffinity) {
+        if let Ok(o) = ctx.optimize(&w, "bb-affinity") {
             push(
                 "inter-bb affinity",
                 &ctx.evaluate(&o.module, &o.layout, &cfg),
@@ -90,7 +90,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         // (one lane per ~512 B, Gloy–Smith's per-function alignment) —
         // with coarse slots, co-slotted hot functions of these
         // beyond-capacity workloads alias catastrophically.
-        let trg_cfg = optimizer_for(&w, OptimizerKind::FunctionTrg).trg;
+        let trg_cfg = optimizer_for(&w, "function-trg").trg;
         let trg = Trg::build(&profile.func_trace, trg_cfg.window);
         let assignment = reduce(&trg, 128, &profile.func_trace);
         let fsize = |b: clop_trace::BlockId| {

@@ -8,7 +8,7 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct, render_table, timing_hw};
-use clop_core::{OptimizerKind, ProgramRun};
+use clop_core::ProgramRun;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::fmt::Write as _;
@@ -43,9 +43,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let mut scored: Vec<Scored> = ctx.map(PrimaryBenchmark::ALL.to_vec(), |_, b| {
         let w = primary_program(b);
         let base = ctx.baseline(&w);
-        let opt = ctx
-            .optimized(&w, OptimizerKind::FunctionAffinity)
-            .expect("fn affinity");
+        let opt = ctx.optimized(&w, "function-affinity").expect("fn affinity");
         // Score: self-pair improvement.
         let ob = base.corun_timed(&base, timing);
         let oo = base.corun_timed(&opt, timing);

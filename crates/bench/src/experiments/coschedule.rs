@@ -1,7 +1,7 @@
 //! Extension experiment: model-driven co-scheduling.
 //!
 //! The composition model predicts pairwise interference from solo traces
-//! alone (see `exp_model_validation`); here we use it to *choose* which
+//! alone (see `exp model_validation`); here we use it to *choose* which
 //! programs of a mixed fleet — two code-heavy, two peer-sensitive and two tiny
 //! workloads, the consolidation scenario the paper's co-scheduling
 //! references address — share a hyper-threaded core. A six-program fleet

@@ -11,7 +11,6 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct, pct0, render_table, timing_hw};
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::fmt::Write as _;
@@ -46,16 +45,16 @@ pub fn rows_for(ctx: &ExperimentCtx, programs: Vec<PrimaryBenchmark>) -> Vec<Row
         let base = ctx.baseline(&w);
         let base_t = base.solo_timed(timing);
 
-        let eval = |kind: OptimizerKind| -> Option<(f64, f64)> {
-            let run = ctx.optimized(&w, kind).ok()?;
+        let eval = |name: &str| -> Option<(f64, f64)> {
+            let run = ctx.optimized(&w, name).ok()?;
             let t = run.solo_timed(timing);
             let speedup = base_t.cycles / t.cycles - 1.0;
             let reduction = base_t.stats.reduction_to(&t.stats);
             Some((speedup, reduction))
         };
 
-        let (fns, fnr) = eval(OptimizerKind::FunctionAffinity).expect("function reordering");
-        let bb = eval(OptimizerKind::BbAffinity);
+        let (fns, fnr) = eval("function-affinity").expect("function reordering");
+        let bb = eval("bb-affinity");
         Row {
             name: b.name().to_string(),
             fn_speedup: fns,

@@ -12,7 +12,6 @@
 use crate::corun::CorunLab;
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct, render_table};
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::PrimaryBenchmark;
 use std::fmt::Write as _;
@@ -33,19 +32,15 @@ impl ToJson for Panel {
 }
 
 pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    let kinds = [
-        OptimizerKind::FunctionAffinity,
-        OptimizerKind::BbAffinity,
-        OptimizerKind::FunctionTrg,
-    ];
-    let lab = CorunLab::prepare(ctx, &kinds);
+    let pipelines = ["function-affinity", "bb-affinity", "function-trg"];
+    let lab = CorunLab::prepare(ctx, &pipelines);
     let probes = PrimaryBenchmark::ALL;
 
     let mut text = String::new();
     let mut panels = Vec::new();
-    for kind in kinds {
+    for pipeline in pipelines {
         let results = ctx.map(PrimaryBenchmark::ALL.to_vec(), |_, subject| {
-            (subject, lab.subject_result(subject, kind, &probes))
+            (subject, lab.subject_result(subject, pipeline, &probes))
         });
         let mut series = Vec::new();
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -76,12 +71,12 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         writeln!(
             text,
             "Figure 6 panel: co-run speedups, optimizer = {}\n",
-            kind
+            pipeline
         )
         .unwrap();
         writeln!(text, "{}", render_table(&headers_ref, &rows)).unwrap();
         panels.push(Panel {
-            optimizer: kind.to_string(),
+            optimizer: pipeline.to_string(),
             series,
         });
     }

@@ -16,7 +16,7 @@
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct, render_table, timing_hw};
 use clop_cachesim::timing::throughput_improvement;
-use clop_core::{OptimizerKind, ProgramRun};
+use clop_core::ProgramRun;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::fmt::Write as _;
@@ -57,9 +57,7 @@ pub fn rows_for(ctx: &ExperimentCtx, progs: &[PrimaryBenchmark]) -> Vec<PairRow>
         let w = primary_program(b);
         let base = ctx.baseline(&w);
         // Function affinity succeeds on every program (Table II).
-        let opt = ctx
-            .optimized(&w, OptimizerKind::FunctionAffinity)
-            .expect("fn affinity");
+        let opt = ctx.optimized(&w, "function-affinity").expect("fn affinity");
         let solo_cycles = base.solo_timed(timing).cycles;
         Prepared {
             base,

@@ -12,7 +12,6 @@
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct0, render_table};
 use clop_cachesim::{simulate_solo_lines, CacheConfig};
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
 use std::fmt::Write as _;
@@ -45,10 +44,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let per_program: Vec<Vec<Curve>> = ctx.map(programs.to_vec(), |_, b| {
         let w = primary_program(b);
         let base_lines = ctx.baseline(&w).lines();
-        let opt_lines = ctx
-            .optimized(&w, OptimizerKind::BbAffinity)
-            .expect("supported")
-            .lines();
+        let opt_lines = ctx.optimized(&w, "bb-affinity").expect("supported").lines();
         [(false, &base_lines), (true, &opt_lines)]
             .into_iter()
             .map(|(optimized, lines)| {

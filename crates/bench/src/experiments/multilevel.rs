@@ -14,7 +14,6 @@ use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{paper_cache, pct0, render_table};
 use clop_cachesim::multilevel::simulate_two_level_corun;
 use clop_cachesim::CacheConfig;
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, probe_program, PrimaryBenchmark, ProbeBenchmark};
 use std::fmt::Write as _;
@@ -57,10 +56,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let rows: Vec<Row> = ctx.map(benches.to_vec(), |_, b| {
         let w = primary_program(b);
         let base = ctx.baseline(&w).lines();
-        let opt = ctx
-            .optimized(&w, OptimizerKind::BbAffinity)
-            .expect("supported")
-            .lines();
+        let opt = ctx.optimized(&w, "bb-affinity").expect("supported").lines();
         let rb = simulate_two_level_corun(&base, &probe, l1, l2).per_thread[0];
         let ro = simulate_two_level_corun(&opt, &probe, l1, l2).per_thread[0];
         Row {

@@ -14,7 +14,6 @@
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{paper_cache, pct0, render_table};
 use clop_cachesim::{simulate_corun_nway, CompositionModel};
-use clop_core::OptimizerKind;
 use clop_trace::{Trace, TrimmedTrace};
 use clop_util::{Json, ToJson};
 use clop_verify::spearman;
@@ -164,7 +163,7 @@ pub fn rows_for(
         let run = match layout {
             "baseline" => ctx.baseline(&w),
             _ => ctx
-                .optimized(&w, OptimizerKind::FunctionAffinity)
+                .optimized(&w, "function-affinity")
                 .expect("function reordering applies to every subject"),
         };
         let lines = run.lines();

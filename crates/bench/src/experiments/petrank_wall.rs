@@ -17,8 +17,8 @@ use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct0, render_table};
 use clop_core::search::exhaustive_function_order_distribution;
 use clop_core::{
-    baseline, exhaustive_best_function_order, random_search_function_order, EvalConfig, Optimizer,
-    OptimizerKind, Profile, ProfileConfig,
+    baseline, exhaustive_best_function_order, random_search_function_order, EvalConfig,
+    PipelineParams, Profile, ProfileConfig,
 };
 use clop_ir::prelude::*;
 use clop_util::{Json, ToJson};
@@ -151,13 +151,13 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     push("exhaustive optimum", best.evaluated, optimal);
     push("original layout", 1, measure(&Layout::original(&module)));
 
-    for kind in [OptimizerKind::FunctionAffinity, OptimizerKind::FunctionTrg] {
-        let mut opt = Optimizer::new(kind);
-        opt.profile = ProfileConfig::with_exec(ExecConfig::with_fuel(10_000));
+    for name in ["function-affinity", "function-trg"] {
+        let mut params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+        params.profile = ProfileConfig::with_exec(ExecConfig::with_fuel(10_000));
         let o = ctx
-            .optimize_with(&module, &opt)
+            .optimize_with(&module, name, &params)
             .expect("function reordering");
-        push(&kind.to_string(), 1, measure(&o.layout));
+        push(name, 1, measure(&o.layout));
     }
     {
         let profile = Profile::collect(

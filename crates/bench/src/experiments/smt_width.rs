@@ -9,8 +9,7 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{eval_config, paper_cache, pct0, render_table};
-use clop_cachesim::simulate_corun_many;
-use clop_core::OptimizerKind;
+use clop_cachesim::simulate_corun_nway;
 use clop_ir::Layout;
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
@@ -49,17 +48,17 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
                 .lines()
         });
         let opt_lines = ctx
-            .optimized(&w, OptimizerKind::FunctionAffinity)
+            .optimized(&w, "function-affinity")
             .expect("fn affinity")
             .lines();
         for width in [1usize, 2, 4, 8] {
             let base_streams: Vec<&[u64]> = (0..width).map(|i| copies[i].as_slice()).collect();
-            let base = simulate_corun_many(&base_streams, cache)[0];
+            let base = simulate_corun_nway(&base_streams, cache).per_tenant[0];
             // One optimized copy among width−1 baseline peers: the
             // defensiveness question at width.
             let mut opt_streams: Vec<&[u64]> = vec![opt_lines.as_slice()];
             opt_streams.extend((1..width).map(|i| copies[i].as_slice()));
-            let opt = simulate_corun_many(&opt_streams, cache)[0];
+            let opt = simulate_corun_nway(&opt_streams, cache).per_tenant[0];
             rows.push(Row {
                 program: b.name().to_string(),
                 width,

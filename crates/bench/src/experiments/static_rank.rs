@@ -18,7 +18,7 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{eval_config, pct0, render_table};
-use clop_core::{static_score, OptimizerKind, ORIGINAL_LAYOUT};
+use clop_core::{static_score, ORIGINAL_LAYOUT, PIPELINES};
 use clop_ir::Layout;
 use clop_util::{Json, ToJson};
 use clop_verify::spearman;
@@ -125,10 +125,10 @@ pub fn summarize(rows: &[Row]) -> Summary {
 /// The cross-validation sweep over explicit workloads and optimizer
 /// candidates. Every workload also contributes its original layout.
 /// Optimizers that do not apply (the paper's "N/A" cases) are skipped.
-pub fn rows_for(ctx: &ExperimentCtx, entries: &[SuiteEntry], kinds: &[OptimizerKind]) -> Vec<Row> {
+pub fn rows_for(ctx: &ExperimentCtx, entries: &[SuiteEntry], pipelines: &[&str]) -> Vec<Row> {
     let nested: Vec<Vec<Row>> = ctx.map(entries.to_vec(), |_, entry| {
         let w = entry.workload();
-        let mut rows = Vec::with_capacity(kinds.len() + 1);
+        let mut rows = Vec::with_capacity(pipelines.len() + 1);
 
         let base_layout = Layout::original(&w.module);
         let base_static = static_score(&w.module, &base_layout);
@@ -142,8 +142,8 @@ pub fn rows_for(ctx: &ExperimentCtx, entries: &[SuiteEntry], kinds: &[OptimizerK
             simulated: base_sim,
         });
 
-        for &kind in kinds {
-            let Ok(opt) = ctx.optimize(&w, kind) else {
+        for &pipeline in pipelines {
+            let Ok(opt) = ctx.optimize(&w, pipeline) else {
                 continue;
             };
             // Score the prepared module under the optimizer's layout: the
@@ -155,7 +155,7 @@ pub fn rows_for(ctx: &ExperimentCtx, entries: &[SuiteEntry], kinds: &[OptimizerK
                 .miss_ratio();
             rows.push(Row {
                 workload: entry.name.to_string(),
-                candidate: kind.to_string(),
+                candidate: pipeline.to_string(),
                 static_score: report.score,
                 static_solo: report.solo_miss,
                 static_conflict: report.conflict_miss,
@@ -169,7 +169,7 @@ pub fn rows_for(ctx: &ExperimentCtx, entries: &[SuiteEntry], kinds: &[OptimizerK
 
 pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let entries = full_suite();
-    let rows = rows_for(ctx, &entries, &OptimizerKind::ALL);
+    let rows = rows_for(ctx, &entries, &PIPELINES);
     let summary = summarize(&rows);
     assert!(
         summary.passes_gate(),

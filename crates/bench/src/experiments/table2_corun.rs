@@ -11,17 +11,12 @@
 use crate::corun::CorunLab;
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct, pct0, render_table};
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::PrimaryBenchmark;
 use std::fmt::Write as _;
 
-/// The three effective optimizers of Table II, in presentation order.
-pub const KINDS: [OptimizerKind; 3] = [
-    OptimizerKind::FunctionAffinity,
-    OptimizerKind::BbAffinity,
-    OptimizerKind::FunctionTrg,
-];
+/// The three effective pipelines of Table II, in presentation order.
+pub const KINDS: [&str; 3] = ["function-affinity", "bb-affinity", "function-trg"];
 
 /// One Table II row: per-optimizer (speedup, hw reduction, sim reduction)
 /// averages, `None` for the paper's N/A entries.

@@ -1,9 +1,9 @@
 //! Shared harness utilities for the experiment binaries.
 //!
-//! Every experiment binary (`src/bin/exp_*.rs`) regenerates one table or
-//! figure of the paper. The experiments themselves live in
-//! [`experiments`] as declarative specs registered in [`experiment::all`];
-//! the binaries are thin shims over [`experiment::cli_main`]. Shared here:
+//! The `exp` binary (`src/bin/exp.rs`) regenerates the paper's tables and
+//! figures, one experiment by name or all of them. The experiments
+//! themselves live in [`experiments`] as declarative specs listed in
+//! [`experiment::all`]. Shared here:
 //! program evaluation (link + reference run + both measurement channels),
 //! aligned-text table rendering, and JSON result emission into `results/`.
 
@@ -16,8 +16,7 @@ pub mod runner;
 pub use clop_util::pool;
 
 use clop_cachesim::{CacheConfig, TimingConfig};
-use clop_core::{EvalConfig, OptError, Optimizer, OptimizerKind, ProfileConfig, ProgramRun};
-use clop_ir::Layout;
+use clop_core::{EvalConfig, PipelineParams, ProfileConfig, PIPELINES};
 use clop_util::{ClopError, Json};
 use clop_workloads::Workload;
 use std::path::{Path, PathBuf};
@@ -31,31 +30,18 @@ pub fn eval_config(w: &Workload) -> EvalConfig {
     }
 }
 
-/// Evaluate a workload's baseline (original layout, untransformed module).
+/// The default parameters of the pipeline `name` with profiling on the
+/// workload's *test* input.
 ///
-/// Unmemoized convenience entry; experiments go through
-/// [`experiment::ExperimentCtx::baseline`] instead, which caches the run.
-pub fn baseline_run(w: &Workload) -> ProgramRun {
-    ProgramRun::evaluate(&w.module, &Layout::original(&w.module), &eval_config(w))
-}
-
-/// Build an optimizer of `kind` whose profiling uses the workload's *test*
-/// input.
-pub fn optimizer_for(w: &Workload, kind: OptimizerKind) -> Optimizer {
-    let mut opt = Optimizer::new(kind);
-    opt.profile = ProfileConfig::with_exec(w.test_exec);
-    opt
-}
-
-/// Optimize a workload and evaluate the result on the reference input.
-/// `Err` carries the paper's "N/A" cases (BB reordering failures).
-pub fn optimized_run(w: &Workload, kind: OptimizerKind) -> Result<ProgramRun, OptError> {
-    let opt = optimizer_for(w, kind).optimize(&w.module)?;
-    Ok(ProgramRun::evaluate(
-        &opt.module,
-        &opt.layout,
-        &eval_config(w),
-    ))
+/// # Panics
+///
+/// On a name outside [`PIPELINES`]: experiments name their pipelines by
+/// constant, so an unknown one is a bug in the experiment.
+pub fn optimizer_for(w: &Workload, name: &str) -> PipelineParams {
+    let mut params = PipelineParams::for_pipeline(name)
+        .unwrap_or_else(|| panic!("unknown pipeline `{}` (known: {:?})", name, PIPELINES));
+    params.profile = ProfileConfig::with_exec(w.test_exec);
+    params
 }
 
 /// The paper's cache.

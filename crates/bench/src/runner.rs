@@ -22,7 +22,7 @@
 //!   deterministic, so the merged `results/` directory is byte-identical
 //!   to an uninterrupted run.
 //! * **Failure report** — failures accumulate into a [`SuiteReport`]
-//!   rendered as a summary table; `exp_all` exits nonzero when any job
+//!   rendered as a summary table; `exp all` exits nonzero when any job
 //!   failed. The machine-readable report lands in the checkpoint
 //!   directory (not `results/`, which holds only experiment artifacts).
 

@@ -19,7 +19,6 @@ use clop_bench::experiment::ExperimentCtx;
 use clop_bench::experiments::{
     fig4_miss_ratios, fig5_solo, fig7_throughput, nway_validation, static_rank, table2_corun,
 };
-use clop_core::OptimizerKind;
 use clop_util::{Json, ToJson};
 use clop_workloads::{full_suite, PrimaryBenchmark};
 use std::path::PathBuf;
@@ -141,11 +140,7 @@ fn reduced_static_rank_matches_golden() {
     let ctx = ExperimentCtx::new(2);
     let entries = full_suite();
     assert_eq!(entries.len(), 29, "registry suite is the full 29 programs");
-    let rows = static_rank::rows_for(
-        &ctx,
-        &entries,
-        &[OptimizerKind::FunctionAffinity, OptimizerKind::FunctionTrg],
-    );
+    let rows = static_rank::rows_for(&ctx, &entries, &["function-affinity", "function-trg"]);
     assert_eq!(rows.len(), 29 * 3, "original + 2 candidates per workload");
     let summary = static_rank::summarize(&rows);
     assert!(

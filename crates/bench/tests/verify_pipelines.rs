@@ -16,7 +16,7 @@
 use clop_bench::optimizer_for;
 use clop_cachesim::{CacheConfig, SetAssocCache};
 use clop_core::bbreorder::JUMP_BYTES;
-use clop_core::{preprocess_for_bb_reordering, OptimizerKind};
+use clop_core::{build_pipeline, preprocess_for_bb_reordering, PIPELINES};
 use clop_ir::{
     line_trace, EdgeProfile, GlobalBlockId, Interpreter, Layout, LinkOptions, LinkedImage,
     LocalBlockId, Module, ModuleBuilder, Terminator,
@@ -36,8 +36,10 @@ fn every_pipeline_output_verifies_on_the_full_registry() {
     let mut na = 0usize;
     for entry in full_suite() {
         let w = entry.workload();
-        for kind in OptimizerKind::ALL {
-            match optimizer_for(&w, kind).optimize(&w.module) {
+        for name in PIPELINES {
+            let pipeline =
+                build_pipeline(name, &optimizer_for(&w, name)).expect("a paper pipeline");
+            match pipeline.optimize(&w.module) {
                 Ok(o) => {
                     let r = verify_module(&o.module);
                     assert!(r.is_ok(), "{} / {}: {}", w.name, o.name, r);

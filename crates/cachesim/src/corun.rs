@@ -214,17 +214,6 @@ pub fn simulate_corun_lines(a: &[u64], b: &[u64], config: CacheConfig) -> CorunC
     result
 }
 
-/// Replay any number of fetch streams through one shared cache with
-/// round-robin SMT interleaving (4-way/8-way SMT per the paper's intro);
-/// returns per-thread statistics. Exhausted streams drop out of the
-/// rotation.
-pub fn simulate_corun_many(streams: &[&[u64]], config: CacheConfig) -> Vec<CacheStats> {
-    simulate_corun_nway(streams, config)
-        .per_tenant
-        .into_iter()
-        .collect()
-}
-
 /// Round-robin interleave of any number of fetch streams into `(tenant,
 /// line)` pairs, as an iterator. Exhausted streams drop out of the
 /// rotation; at two streams the order is exactly
@@ -380,7 +369,7 @@ impl NwayCorunResult {
 ///
 /// The access order, hit/miss outcomes, and per-tenant statistics are
 /// bit-identical to [`simulate_corun_lines`] at two streams and to the
-/// historical `simulate_corun_many` loop at any width (pinned by property
+/// per-access reference loop in [`naive`] at any width (pinned by property
 /// tests); attribution is the new observable.
 pub fn simulate_corun_nway<T: FetchLine>(streams: &[&[T]], config: CacheConfig) -> NwayCorunResult {
     let tenants = streams.len();
@@ -433,16 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn many_with_two_streams_matches_pairwise() {
-        let a: Vec<u64> = (0..80).map(|i| i % 3).collect();
-        let b: Vec<u64> = (0..60).map(|i| i % 5).collect();
-        let pair = simulate_corun_lines(&a, &b, cfg());
-        let many = simulate_corun_many(&[&a, &b], cfg());
-        assert_eq!(many[0], pair.per_thread[0]);
-        assert_eq!(many[1], pair.per_thread[1]);
-    }
-
-    #[test]
     fn wider_smt_inflates_misses_monotonically() {
         // Identical 3-line loops: each added thread adds capacity
         // pressure, so thread 0's miss ratio never improves with width.
@@ -450,24 +429,17 @@ mod tests {
         let mut prev = 0.0;
         for width in [1usize, 2, 4, 8] {
             let streams: Vec<&[u64]> = (0..width).map(|_| stream.as_slice()).collect();
-            let stats = simulate_corun_many(&streams, cfg());
-            let m = stats[0].miss_ratio();
+            let m = simulate_corun_nway(&streams, cfg()).per_tenant[0].miss_ratio();
             assert!(m >= prev - 1e-12, "width {}: {} < {}", width, m, prev);
             prev = m;
         }
     }
 
     #[test]
-    fn many_with_one_stream_is_solo() {
+    fn nway_with_one_stream_is_solo() {
         let a: Vec<u64> = (0..100).map(|i| i % 7).collect();
-        let many = simulate_corun_many(&[&a], cfg());
-        assert_eq!(many[0], simulate_solo_lines(&a, cfg()));
-    }
-
-    #[test]
-    fn many_with_empty_input() {
-        let stats = simulate_corun_many(&[], cfg());
-        assert!(stats.is_empty());
+        let nway = simulate_corun_nway(&[&a], cfg());
+        assert_eq!(nway.per_tenant[0], simulate_solo_lines(&a, cfg()));
     }
 
     #[test]

@@ -15,15 +15,6 @@
 //! * [`all_pairings`] — the full matching space, for ranking a schedule
 //!   against every alternative,
 //! * [`pairing_cost`] — evaluate any proposed pairing under the matrix.
-//!
-//! With more than two hardware contexts per shared cache the matching
-//! problem becomes a *partition* problem: split the fleet into groups of
-//! `group_size` tenants, each group sharing one cache. The N-way analogues
-//! ([`group_cost`], [`all_groupings`], [`greedy_grouping`],
-//! [`optimal_grouping`]) score a group by Eq 1's N-peer composition
-//! ([`CompositionModel::corun_miss_probability_many`]) rather than a
-//! pairwise matrix, so three-way and four-way interference is priced
-//! directly instead of being approximated by summed pair costs.
 
 use crate::model::CompositionModel;
 
@@ -163,164 +154,6 @@ pub fn worst_pairing(matrix: &[Vec<f64>]) -> Pairing {
     (pairs, leftover)
 }
 
-/// A schedule for N-way sharing: a partition of the fleet into groups,
-/// each group sharing one cache.
-pub type Grouping = Vec<Vec<usize>>;
-
-/// Predicted total interference inside one group: each member's N-way
-/// co-run miss probability against the rest of the group, summed.
-pub fn group_cost(models: &[CompositionModel], group: &[usize], capacity: usize) -> f64 {
-    group
-        .iter()
-        .map(|&i| {
-            let rest: Vec<&CompositionModel> = group
-                .iter()
-                .filter(|&&j| j != i)
-                .map(|&j| &models[j])
-                .collect();
-            models[i].corun_miss_probability_many(&rest, capacity, 1.0)
-        })
-        .sum()
-}
-
-/// Total predicted interference of a proposed grouping.
-pub fn grouping_cost(models: &[CompositionModel], grouping: &[Vec<usize>], capacity: usize) -> f64 {
-    grouping
-        .iter()
-        .map(|group| group_cost(models, group, capacity))
-        .sum()
-}
-
-/// Every partition of `0..n` into groups of exactly `group_size`.
-/// Requires `n % group_size == 0` (and `group_size ≥ 1`). The count is the
-/// multinomial `n! / ((group_size!)^(n/g) · (n/g)!)` — 10 for n=6 into
-/// triples, 15 for n=6 into pairs — so, like [`all_pairings`], this is for
-/// fleet sizes where scheduling is decided by hand anyway.
-pub fn all_groupings(n: usize, group_size: usize) -> Vec<Grouping> {
-    assert!(group_size >= 1, "group_size must be at least 1");
-    assert!(
-        n.is_multiple_of(group_size),
-        "fleet of {} does not divide into groups of {}",
-        n,
-        group_size
-    );
-    fn recurse(
-        unused: &[usize],
-        group_size: usize,
-        current: &mut Vec<Vec<usize>>,
-        out: &mut Vec<Grouping>,
-    ) {
-        if unused.is_empty() {
-            out.push(current.clone());
-            return;
-        }
-        // The lowest unused index anchors the next group, which kills the
-        // permutation symmetry between groups.
-        let mut chosen = vec![0usize; group_size - 1];
-        let ctx = PickCtx {
-            rest: &unused[1..],
-            anchor: unused[0],
-            group_size,
-        };
-        struct PickCtx<'a> {
-            rest: &'a [usize],
-            anchor: usize,
-            group_size: usize,
-        }
-        impl PickCtx<'_> {
-            fn pick(
-                &self,
-                start: usize,
-                slot: usize,
-                chosen: &mut Vec<usize>,
-                current: &mut Vec<Vec<usize>>,
-                out: &mut Vec<Grouping>,
-            ) {
-                if slot == chosen.len() {
-                    let mut group = vec![self.anchor];
-                    group.extend(chosen.iter().map(|&k| self.rest[k]));
-                    let remaining: Vec<usize> = (0..self.rest.len())
-                        .filter(|k| !chosen.contains(k))
-                        .map(|k| self.rest[k])
-                        .collect();
-                    current.push(group);
-                    recurse(&remaining, self.group_size, current, out);
-                    current.pop();
-                    return;
-                }
-                for k in start..self.rest.len() {
-                    chosen[slot] = k;
-                    self.pick(k + 1, slot + 1, chosen, current, out);
-                }
-            }
-        }
-        ctx.pick(0, 0, &mut chosen, current, out);
-    }
-    let mut out = Vec::new();
-    let indices: Vec<usize> = (0..n).collect();
-    recurse(&indices, group_size, &mut Vec::new(), &mut out);
-    out
-}
-
-/// Greedy N-way grouping: the lowest-index unplaced program anchors a new
-/// group, then the group repeatedly absorbs whichever unplaced program
-/// increases the group's predicted cost the least (ties break toward the
-/// lower index). A trailing group smaller than `group_size` holds any
-/// remainder.
-pub fn greedy_grouping(
-    models: &[CompositionModel],
-    group_size: usize,
-    capacity: usize,
-) -> Grouping {
-    assert!(group_size >= 1, "group_size must be at least 1");
-    let n = models.len();
-    let mut used = vec![false; n];
-    let mut grouping = Vec::new();
-    loop {
-        let Some(anchor) = (0..n).find(|&i| !used[i]) else {
-            return grouping;
-        };
-        used[anchor] = true;
-        let mut group = vec![anchor];
-        while group.len() < group_size {
-            let mut best: Option<(f64, usize)> = None;
-            for cand in (0..n).filter(|&i| !used[i]) {
-                let mut trial = group.clone();
-                trial.push(cand);
-                let cost = group_cost(models, &trial, capacity);
-                if best.is_none_or(|(c, _)| cost < c) {
-                    best = Some((cost, cand));
-                }
-            }
-            let Some((_, cand)) = best else { break };
-            used[cand] = true;
-            group.push(cand);
-        }
-        grouping.push(group);
-    }
-}
-
-/// Exhaustive minimum-cost grouping over [`all_groupings`]. The greedy trap
-/// generalizes: absorbing the cheapest companions first can strand the most
-/// aggressive programs in one group. Requires `models.len() % group_size == 0`.
-pub fn optimal_grouping(
-    models: &[CompositionModel],
-    group_size: usize,
-    capacity: usize,
-) -> Grouping {
-    if models.is_empty() {
-        return Vec::new();
-    }
-    // `all_groupings` yields at least the trivial grouping for a
-    // non-empty model list (checked above).
-    all_groupings(models.len(), group_size)
-        .into_iter()
-        .min_by(|a, b| {
-            grouping_cost(models, a, capacity).total_cmp(&grouping_cost(models, b, capacity))
-        })
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,116 +287,5 @@ mod tests {
         let m = interference_matrix(&models(), 26);
         let cost = pairing_cost(&m, &[(0, 2), (1, 3)]);
         assert!((cost - (pair_cost(&m, 0, 2) + pair_cost(&m, 1, 3))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_groupings_counts() {
-        // Pairs reproduce the perfect-matching counts of all_pairings.
-        assert_eq!(all_groupings(2, 2).len(), 1);
-        assert_eq!(all_groupings(4, 2).len(), 3);
-        assert_eq!(all_groupings(6, 2).len(), 15);
-        // Triples: 6!/(3!² · 2!) = 10. Quadruples of 4: 1.
-        assert_eq!(all_groupings(6, 3).len(), 10);
-        assert_eq!(all_groupings(4, 4).len(), 1);
-        assert_eq!(all_groupings(0, 3).len(), 1);
-        // Every grouping is a true partition.
-        for grouping in all_groupings(6, 3) {
-            let mut seen: Vec<usize> = grouping.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..6).collect::<Vec<_>>());
-            assert!(grouping.iter().all(|g| g.len() == 3));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not divide")]
-    fn all_groupings_rejects_ragged_fleets() {
-        all_groupings(5, 2);
-    }
-
-    #[test]
-    fn group_cost_grows_with_group() {
-        let ms = models();
-        let solo = group_cost(&ms, &[0], 26);
-        let pair = group_cost(&ms, &[0, 2], 26);
-        let triple = group_cost(&ms, &[0, 2, 3], 26);
-        assert!(solo <= pair + 1e-12);
-        assert!(pair <= triple + 1e-12);
-    }
-
-    #[test]
-    fn greedy_grouping_partitions_and_respects_size() {
-        let ms = vec![
-            cyclic(20, 2000),
-            cyclic(20, 2000),
-            cyclic(4, 400),
-            cyclic(4, 400),
-            cyclic(8, 800),
-            cyclic(8, 800),
-        ];
-        let grouping = greedy_grouping(&ms, 3, 30);
-        assert_eq!(grouping.len(), 2);
-        let mut seen: Vec<usize> = grouping.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..6).collect::<Vec<_>>());
-        // Remainder handling: 5 programs into triples leaves a pair.
-        let ragged = greedy_grouping(&ms[..5], 3, 30);
-        assert_eq!(ragged.len(), 2);
-        assert_eq!(ragged[0].len(), 3);
-        assert_eq!(ragged[1].len(), 2);
-    }
-
-    #[test]
-    fn greedy_grouping_separates_the_big_programs() {
-        // Two 20-block loops cannot share a 30-block cache politely; greedy
-        // anchored at program 0 absorbs small companions first.
-        let ms = vec![
-            cyclic(20, 2000),
-            cyclic(20, 2000),
-            cyclic(4, 400),
-            cyclic(4, 400),
-        ];
-        let grouping = greedy_grouping(&ms, 2, 26);
-        for group in &grouping {
-            assert!(
-                !(group.contains(&0) && group.contains(&1)),
-                "greedy grouped the two big programs: {:?}",
-                grouping
-            );
-        }
-    }
-
-    #[test]
-    fn optimal_grouping_is_the_partition_minimum() {
-        let ms = vec![
-            cyclic(20, 2000),
-            cyclic(20, 2000),
-            cyclic(4, 400),
-            cyclic(4, 400),
-            cyclic(8, 800),
-            cyclic(8, 800),
-        ];
-        let cap = 34;
-        let best = optimal_grouping(&ms, 3, cap);
-        let best_cost = grouping_cost(&ms, &best, cap);
-        let greedy = greedy_grouping(&ms, 3, cap);
-        assert!(best_cost <= grouping_cost(&ms, &greedy, cap) + 1e-12);
-        for grouping in all_groupings(6, 3) {
-            assert!(best_cost <= grouping_cost(&ms, &grouping, cap) + 1e-12);
-        }
-        // The optimum never stacks both big programs in one triple here.
-        for group in &best {
-            assert!(!(group.contains(&0) && group.contains(&1)), "{:?}", best);
-        }
-        assert!(optimal_grouping(&[], 3, cap).is_empty());
-    }
-
-    #[test]
-    fn grouping_cost_sums_groups() {
-        let ms = models();
-        let grouping = vec![vec![0, 2], vec![1, 3]];
-        let cost = grouping_cost(&ms, &grouping, 26);
-        let by_hand = group_cost(&ms, &[0, 2], 26) + group_cost(&ms, &[1, 3], 26);
-        assert!((cost - by_hand).abs() < 1e-12);
     }
 }

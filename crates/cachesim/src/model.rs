@@ -36,7 +36,7 @@
 //! sum of means, so the tail probability `P(total ≥ C − d)` is smooth in
 //! the number and size of peers. [`CompositionModel::corun_miss_probability_many`]
 //! evaluates it; [`defensiveness_many`] / [`politeness_many`] generalize
-//! the two scores, and `exp_nway_validation` checks the prediction against
+//! the two scores, and `exp nway_validation` checks the prediction against
 //! N-way simulation.
 
 use clop_trace::footprint::FootprintCurve;

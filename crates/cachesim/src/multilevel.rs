@@ -19,7 +19,7 @@
 //! [`NwaySharedL2::check_inclusion`]); and every L2 eviction is attributed
 //! to the tenant whose access caused it, per set. This is the simulated
 //! channel the N-peer defensiveness/politeness model is validated against
-//! (`exp_nway_validation`).
+//! (`exp nway_validation`).
 
 use crate::config::{CacheConfig, CacheStats};
 use crate::corun::{interleave_many_iter, tag_line, tenant_of_line, EvictionMatrix};

@@ -172,9 +172,8 @@ impl Engine {
     /// Build and run the named pipeline on `module`, memoized (including
     /// failures — the paper's "N/A" cases are cached too).
     ///
-    /// An unregistered `name` returns [`OptError::UnknownPipeline`]; that
-    /// outcome is *not* cached, so a pipeline registered later (via
-    /// [`crate::pipeline::register_pipeline`]) becomes visible.
+    /// A `name` outside [`crate::PIPELINES`] returns
+    /// [`OptError::UnknownPipeline`] without running or caching anything.
     pub fn optimize(
         &self,
         module: &Module,
@@ -203,7 +202,7 @@ impl Engine {
 
     /// The engine's per-version incremental analysis states, keyed by
     /// `(program version, analysis parameters)`. Streamed shards fold in
-    /// here; layout queries run registered pipelines against the fold.
+    /// here; layout queries run named pipelines against the fold.
     pub fn incremental(&self) -> &IncrementalStore {
         &self.incremental
     }

@@ -8,9 +8,8 @@
 //! the timed HwLike model).
 
 use clop_cachesim::{
-    simulate_corun_lines, simulate_corun_nway, simulate_nway_shared_l2, simulate_solo_lines,
-    CacheConfig, CacheStats, CorunCacheResult, NwayCorunResult, NwayTwoLevelResult, SmtSimulator,
-    ThreadOutcome, TimedRun, TimingConfig,
+    simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, CacheConfig, CacheStats,
+    CorunCacheResult, NwayCorunResult, SmtSimulator, ThreadOutcome, TimedRun, TimingConfig,
 };
 use clop_ir::{ExecConfig, ExecOutcome, Interpreter, Layout, LinkOptions, LinkedImage, Module};
 
@@ -133,20 +132,6 @@ impl ProgramRun {
         simulate_corun_nway(&streams, self.cache)
     }
 
-    /// N-way co-run through private L1s (this run's geometry) over a
-    /// shared inclusive L2; `self` is tenant 0.
-    pub fn corun_sim_shared_l2(
-        &self,
-        peers: &[&ProgramRun],
-        l2: CacheConfig,
-    ) -> NwayTwoLevelResult {
-        let own = self.lines();
-        let peer_lines: Vec<Vec<u64>> = peers.iter().map(|p| p.lines()).collect();
-        let mut streams: Vec<&[u64]> = vec![&own];
-        streams.extend(peer_lines.iter().map(|l| l.as_slice()));
-        simulate_nway_shared_l2(&streams, self.cache, l2)
-    }
-
     /// Solo timed run on the HwLike channel (prefetching cache + timing).
     pub fn solo_timed(&self, timing: TimingConfig) -> TimedRun {
         SmtSimulator::new(timing).run_solo(&self.stream)
@@ -161,7 +146,7 @@ impl ProgramRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{Optimizer, OptimizerKind};
+    use crate::pipeline::optimize_named;
     use clop_ir::prelude::*;
 
     /// A program whose hot loop alternates between two functions placed far
@@ -221,9 +206,7 @@ mod tests {
         let m = spread_out_module();
         let cfg = EvalConfig::default();
         let base = ProgramRun::evaluate(&m, &Layout::original(&m), &cfg);
-        let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize_named("function-affinity", &m).unwrap();
         let optd = ProgramRun::evaluate(&opt.module, &opt.layout, &cfg);
         let (b, o) = (base.solo_sim().miss_ratio(), optd.solo_sim().miss_ratio());
         assert!(o <= b, "optimized {} should not exceed baseline {}", o, b);
@@ -267,19 +250,5 @@ mod tests {
             wide.per_tenant[0].miss_ratio(),
             nway.per_tenant[0].miss_ratio()
         );
-    }
-
-    #[test]
-    fn shared_l2_corun_reports_all_tenants() {
-        let m = spread_out_module();
-        let cfg = EvalConfig::default();
-        let a = ProgramRun::evaluate(&m, &Layout::original(&m), &cfg);
-        let l2 = CacheConfig::new(256 * 1024, 8, 64);
-        let r = a.corun_sim_shared_l2(&[&a, &a], l2);
-        assert_eq!(r.per_tenant.len(), 3);
-        for t in &r.per_tenant {
-            assert_eq!(t.accesses, a.stream.len() as u64);
-            assert!(t.l2_misses <= t.l1_misses);
-        }
     }
 }

@@ -23,6 +23,7 @@
 //! including already-absorbed shards — converges to the identical bytes,
 //! because absorption is idempotent per sequence number.
 
+use crate::optimizer::OptError;
 use crate::pipeline::{build_pipeline, PipelineParams};
 use crate::profile::ProfileConfig;
 use clop_affinity::{AffinityConfig, AffinityDelta, AffinityState};
@@ -82,7 +83,7 @@ impl AnalysisParams {
 /// at. A result is current only while its epoch matches the state's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayoutResult {
-    /// The pipeline (registry name) that produced the order.
+    /// The name of the pipeline that produced the order.
     pub pipeline: String,
     /// The state epoch the order was computed at.
     pub epoch: u64,
@@ -184,7 +185,7 @@ impl VersionState {
         Ok(true)
     }
 
-    /// Run the named registered pipeline's locality model against the
+    /// Run the named pipeline's locality model against the
     /// current fold. Results are memoized per pipeline name and served
     /// until the next non-duplicate shard moves the epoch.
     pub fn layout_query(&mut self, pipeline: &str) -> ClopResult<Arc<LayoutResult>> {
@@ -195,7 +196,7 @@ impl VersionState {
         }
         let params = self.params.pipeline_params();
         let pipe = build_pipeline(pipeline, &params)
-            .ok_or_else(|| ClopError::pipeline(pipeline, "no such registered pipeline"))?;
+            .ok_or_else(|| ClopError::from(OptError::UnknownPipeline(pipeline.into())))?;
         let order = pipe.model.sequence_incremental(self).ok_or_else(|| {
             ClopError::pipeline(
                 pipeline,

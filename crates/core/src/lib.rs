@@ -3,17 +3,17 @@
 //! instruction cache.
 //!
 //! Two locality models × two transformations give the paper's four
-//! optimizers:
+//! pipelines, named in [`PIPELINES`]:
 //!
-//! | model \ granularity | function            | basic block   |
-//! |---------------------|---------------------|---------------|
-//! | w-window affinity   | `FunctionAffinity`  | `BbAffinity`  |
-//! | TRG                 | `FunctionTrg`       | `BbTrg`       |
+//! | model \ granularity | function              | basic block     |
+//! |---------------------|-----------------------|-----------------|
+//! | w-window affinity   | `"function-affinity"` | `"bb-affinity"` |
+//! | TRG                 | `"function-trg"`      | `"bb-trg"`      |
 //!
 //! The end-to-end pipeline mirrors §II-F and is first-class in
 //! [`pipeline`]: a [`pipeline::LocalityModel`] (w-window affinity, TRG)
 //! composed with a [`pipeline::Transform`] (function reorder,
-//! inter-procedural BB reorder) through a name-keyed registry:
+//! inter-procedural BB reorder), built by name with [`build_pipeline`]:
 //!
 //! 1. [`profile`] — execute the program on its *test* input, recording the
 //!    whole-program function trace and basic-block trace; trim, optionally
@@ -28,9 +28,6 @@
 //! 4. [`eval`] — link the optimized layout and measure it, solo or in
 //!    co-run, with the simulators in [`clop_cachesim`]; the memoizing
 //!    [`engine::Engine`] deduplicates identical evaluations process-wide.
-//!
-//! [`optimizer::OptimizerKind`] survives as a compatibility alias whose
-//! four names dispatch through the registry.
 //!
 //! Every pipeline run is machine-checked by `clop-verify` before it is
 //! returned (well-formedness of the prepared module plus semantic
@@ -60,11 +57,10 @@ pub use bbreorder::{preprocess_for_bb_reordering, BbReorderError};
 pub use engine::{AnalysisCache, Engine, EngineStats};
 pub use eval::{timed_fetch_stream, timed_fetch_stream_from, EvalConfig, ProgramRun};
 pub use incremental::{AnalysisParams, IncrementalStore, LayoutResult, VersionState};
-pub use optimizer::{OptError, OptimizedProgram, Optimizer, OptimizerKind};
+pub use optimizer::{OptError, OptimizedProgram};
 pub use pipeline::{
-    build_pipeline, register_pipeline, registered_pipelines, BbReorder, FunctionReorder,
-    LocalityModel, Pipeline, PipelineParams, PipelineRegistry, Transform, TrgModel,
-    WWindowAffinity,
+    build_pipeline, BbReorder, FunctionReorder, LocalityModel, Pipeline, PipelineParams, Transform,
+    TrgModel, WWindowAffinity, PIPELINES,
 };
 pub use prefilter::{
     prefilter_pipelines, rank_pipelines_static, static_score, StaticRankEntry, StaticRanking,
@@ -79,9 +75,9 @@ pub mod prelude {
     pub use crate::bbreorder::{preprocess_for_bb_reordering, BbReorderError};
     pub use crate::engine::{AnalysisCache, Engine, EngineStats};
     pub use crate::eval::{timed_fetch_stream, EvalConfig, ProgramRun};
-    pub use crate::optimizer::{OptError, OptimizedProgram, Optimizer, OptimizerKind};
+    pub use crate::optimizer::{OptError, OptimizedProgram};
     pub use crate::pipeline::{
-        build_pipeline, register_pipeline, LocalityModel, Pipeline, PipelineParams, Transform,
+        build_pipeline, LocalityModel, Pipeline, PipelineParams, Transform, PIPELINES,
     };
     pub use crate::profile::{Profile, ProfileConfig};
 }

@@ -1,89 +1,18 @@
-//! The four code-layout optimizers, as a thin shim over the trait-based
-//! [`pipeline`](crate::pipeline).
+//! What a run of the optimization [`pipeline`](crate::pipeline) returns.
 //!
-//! An [`Optimizer`] runs the full pipeline of §II-F on a module: profile on
-//! the test input, run the configured locality model at the configured
-//! granularity, and emit the transformed program with its new layout.
-//! Code the profile never saw (cold functions / cold blocks) is appended
-//! after the optimized sequence in original order — reference affinity
-//! deliberately handles both hot and cold paths the profile *did* see, but
-//! can say nothing about unexecuted code.
-//!
-//! [`OptimizerKind`] remains as a compatibility alias for the paper's 2×2
-//! matrix; every `optimize` call dispatches through the name-keyed
-//! [`pipeline registry`](crate::pipeline::build_pipeline), so kinds and
-//! registered pipelines always agree.
+//! A pipeline runs the full flow of §II-F on a module: profile on the test
+//! input, run its locality model at its transform's granularity, and emit
+//! the transformed program with its new layout. Code the profile never saw
+//! (cold functions / cold blocks) is appended after the optimized sequence
+//! in original order — reference affinity deliberately handles both hot and
+//! cold paths the profile *did* see, but can say nothing about unexecuted
+//! code. The run yields an [`OptimizedProgram`] or an [`OptError`].
 
 use crate::bbreorder::BbReorderError;
-use crate::pipeline::{build_pipeline, PipelineParams};
-use crate::profile::{Profile, ProfileConfig};
-use clop_affinity::AffinityConfig;
+use crate::pipeline::PIPELINES;
+use crate::profile::Profile;
 use clop_ir::{Layout, Module};
-use clop_trace::Granularity;
-use clop_trg::TrgConfig;
 use std::fmt;
-
-/// Which of the paper's four optimizers to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OptimizerKind {
-    /// Global function reordering, w-window affinity model.
-    FunctionAffinity,
-    /// Inter-procedural basic-block reordering, w-window affinity model.
-    BbAffinity,
-    /// Global function reordering, TRG model.
-    FunctionTrg,
-    /// Inter-procedural basic-block reordering, TRG model.
-    BbTrg,
-}
-
-impl OptimizerKind {
-    /// All four optimizers, in the paper's presentation order.
-    pub const ALL: [OptimizerKind; 4] = [
-        OptimizerKind::FunctionAffinity,
-        OptimizerKind::BbAffinity,
-        OptimizerKind::FunctionTrg,
-        OptimizerKind::BbTrg,
-    ];
-
-    /// True for the basic-block granularity optimizers.
-    pub fn is_bb(self) -> bool {
-        matches!(self, OptimizerKind::BbAffinity | OptimizerKind::BbTrg)
-    }
-
-    /// True for the affinity-model optimizers.
-    pub fn is_affinity(self) -> bool {
-        matches!(
-            self,
-            OptimizerKind::FunctionAffinity | OptimizerKind::BbAffinity
-        )
-    }
-
-    /// The granularity this kind transforms at.
-    pub fn granularity(self) -> Granularity {
-        if self.is_bb() {
-            Granularity::BasicBlock
-        } else {
-            Granularity::Function
-        }
-    }
-
-    /// The registry name of this kind's pipeline (same as `Display`).
-    pub fn name(self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for OptimizerKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            OptimizerKind::FunctionAffinity => "function-affinity",
-            OptimizerKind::BbAffinity => "bb-affinity",
-            OptimizerKind::FunctionTrg => "function-trg",
-            OptimizerKind::BbTrg => "bb-trg",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Why an optimization run failed.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,7 +22,7 @@ pub enum OptError {
     /// BB reordering could not transform this program (the paper's "N/A"
     /// cases).
     BbReorder(BbReorderError),
-    /// The requested pipeline name is not in the registry.
+    /// The requested pipeline name is not one of [`PIPELINES`].
     UnknownPipeline(String),
     /// The static verifier rejected the pipeline's output (always a bug in
     /// a model or transform; see `clop-verify`). Skipped when
@@ -106,9 +35,12 @@ impl fmt::Display for OptError {
         match self {
             OptError::EmptyProfile => write!(f, "profiling produced an empty trace"),
             OptError::BbReorder(e) => write!(f, "basic-block reordering failed: {}", e),
-            OptError::UnknownPipeline(name) => {
-                write!(f, "pipeline `{}` is not registered", name)
-            }
+            OptError::UnknownPipeline(name) => write!(
+                f,
+                "unknown pipeline `{}` (known: {})",
+                name,
+                PIPELINES.join(", ")
+            ),
             OptError::Verify(report) => {
                 write!(f, "static verification rejected the result: {}", report)
             }
@@ -146,71 +78,17 @@ pub struct OptimizedProgram {
     pub module: Module,
     /// The optimized layout.
     pub layout: Layout,
-    /// Registry name of the pipeline that produced this (e.g.
+    /// Name of the pipeline that produced this (e.g.
     /// `"function-affinity"`).
     pub name: String,
     /// The profile used (kept for reporting: retention, trace sizes).
     pub profile: Profile,
 }
 
-/// A configured optimizer.
-#[derive(Clone, Debug)]
-pub struct Optimizer {
-    /// Which model × granularity to run.
-    pub kind: OptimizerKind,
-    /// Affinity model window range (used by the affinity optimizers).
-    pub affinity: AffinityConfig,
-    /// TRG model window / slot configuration (used by the TRG optimizers).
-    pub trg: TrgConfig,
-    /// Profiling configuration (test-input run).
-    pub profile: ProfileConfig,
-    /// Worker count for the sharded locality analyses; the resulting layout
-    /// is bit-identical for any value (1 = serial).
-    pub jobs: usize,
-}
-
-impl Optimizer {
-    /// An optimizer of the given kind with the paper's default model and
-    /// profiling parameters.
-    ///
-    /// The TRG model assumes a uniform code-block size (§II-C: the
-    /// compiler has no binary sizes); the assumed size depends on the
-    /// granularity — a typical function is ~1 KB, a typical basic block
-    /// ~64 B — which sets the slot count and the 2C window.
-    pub fn new(kind: OptimizerKind) -> Self {
-        let params = PipelineParams::for_granularity(kind.granularity());
-        Optimizer {
-            kind,
-            affinity: params.affinity,
-            trg: params.trg,
-            profile: params.profile,
-            jobs: params.jobs,
-        }
-    }
-
-    /// The pipeline parameters this optimizer carries.
-    pub fn params(&self) -> PipelineParams {
-        PipelineParams {
-            affinity: self.affinity,
-            trg: self.trg,
-            profile: self.profile,
-            jobs: self.jobs,
-        }
-    }
-
-    /// Run the pipeline on a module. Dispatches through the name-keyed
-    /// pipeline registry; the enum is purely a name.
-    pub fn optimize(&self, module: &Module) -> Result<OptimizedProgram, OptError> {
-        let name = self.kind.to_string();
-        build_pipeline(&name, &self.params())
-            .ok_or(OptError::UnknownPipeline(name))?
-            .optimize(module)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::optimize_named as optimize;
     use clop_ir::prelude::*;
 
     /// main loops calling f then g; h is never called.
@@ -231,9 +109,7 @@ mod tests {
     #[test]
     fn function_affinity_produces_valid_layout() {
         let m = module_with_cold_function();
-        let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize("function-affinity", &m).unwrap();
         assert!(opt.layout.is_permutation_of(&opt.module));
         assert_eq!(opt.module.num_blocks(), m.num_blocks());
         // Cold function h (id 3) is placed last.
@@ -246,18 +122,14 @@ mod tests {
     #[test]
     fn function_trg_produces_valid_layout() {
         let m = module_with_cold_function();
-        let opt = Optimizer::new(OptimizerKind::FunctionTrg)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize("function-trg", &m).unwrap();
         assert!(opt.layout.is_permutation_of(&opt.module));
     }
 
     #[test]
     fn bb_affinity_transforms_and_reorders() {
         let m = module_with_cold_function();
-        let opt = Optimizer::new(OptimizerKind::BbAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize("bb-affinity", &m).unwrap();
         // Pre-processing adds one stub per function.
         assert_eq!(opt.module.num_blocks(), m.num_blocks() + m.num_functions());
         assert!(opt.layout.is_permutation_of(&opt.module));
@@ -267,7 +139,7 @@ mod tests {
     #[test]
     fn bb_trg_produces_valid_layout() {
         let m = module_with_cold_function();
-        let opt = Optimizer::new(OptimizerKind::BbTrg).optimize(&m).unwrap();
+        let opt = optimize("bb-trg", &m).unwrap();
         assert!(opt.layout.is_permutation_of(&opt.module));
     }
 
@@ -285,26 +157,20 @@ mod tests {
             fb.finish();
         }
         let m = b.build().unwrap();
-        let err = Optimizer::new(OptimizerKind::BbAffinity)
-            .optimize(&m)
-            .unwrap_err();
+        let err = optimize("bb-affinity", &m).unwrap_err();
         assert!(matches!(err, OptError::BbReorder(_)));
         // Function reordering still works on the same program.
-        assert!(Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .is_ok());
+        assert!(optimize("function-affinity", &m).is_ok());
     }
 
     #[test]
     fn optimizer_is_deterministic() {
         let m = module_with_cold_function();
-        for kind in OptimizerKind::ALL {
-            let a = Optimizer::new(kind).optimize(&m);
-            let b = Optimizer::new(kind).optimize(&m);
-            match (a, b) {
-                (Ok(x), Ok(y)) => assert_eq!(x.layout, y.layout, "{}", kind),
+        for name in PIPELINES {
+            match (optimize(name, &m), optimize(name, &m)) {
+                (Ok(x), Ok(y)) => assert_eq!(x.layout, y.layout, "{}", name),
                 (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("nondeterministic outcome for {}", kind),
+                _ => panic!("nondeterministic outcome for {}", name),
             }
         }
     }
@@ -319,25 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn kind_predicates_and_display() {
-        assert!(OptimizerKind::BbAffinity.is_bb());
-        assert!(OptimizerKind::BbAffinity.is_affinity());
-        assert!(!OptimizerKind::FunctionTrg.is_affinity());
-        assert!(!OptimizerKind::FunctionTrg.is_bb());
-        assert_eq!(
-            OptimizerKind::FunctionAffinity.to_string(),
-            "function-affinity"
-        );
-    }
-
-    #[test]
     fn hot_pair_functions_placed_adjacently() {
         // f and g always called back to back: affinity must keep them
         // adjacent in the function order.
         let m = module_with_cold_function();
-        let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize("function-affinity", &m).unwrap();
         let Layout::FunctionOrder(order) = &opt.layout else {
             unreachable!()
         };

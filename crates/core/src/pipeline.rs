@@ -1,4 +1,4 @@
-//! The optimization pipeline as open traits plus a name-keyed registry.
+//! The optimization pipeline as open traits plus a fixed table of names.
 //!
 //! The paper's contribution (§II-F) is a *pipeline* — instrument → trace →
 //! prune → model → transform → evaluate — instantiated four ways: two
@@ -11,10 +11,10 @@
 //!   matching trace from a [`Profile`], and realizes the model's sequence
 //!   as a concrete [`Layout`].
 //! * [`Pipeline`] composes one of each with a profiling configuration.
-//! * The [`registry`] maps names ("function-affinity", "bb-trg", …) to
-//!   pipeline builders, so new models and transforms plug in without
-//!   touching any dispatch site — [`crate::Optimizer`] and the experiment
-//!   harness both construct pipelines purely by name.
+//! * [`PIPELINES`] names the four compositions ("function-affinity",
+//!   "bb-trg", …) and [`build_pipeline`] builds one by name. The name is a
+//!   pipeline's only identity: the CLI, the engine, the daemon and the
+//!   experiment harness all construct pipelines through it.
 
 use crate::bbreorder;
 use crate::engine::AnalysisCache;
@@ -24,7 +24,7 @@ use clop_affinity::{affinity_layout_jobs, AffinityConfig, AffinityHierarchy};
 use clop_ir::{FuncId, GlobalBlockId, Layout, Module};
 use clop_trace::{BlockId, Granularity, TrimmedTrace};
 use clop_trg::{trg_layout_jobs, TrgConfig};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// A locality model: maps a trimmed code-block trace to a hot-unit
 /// placement sequence. Units the model never mentions are appended in
@@ -234,7 +234,7 @@ pub(crate) fn complete_order<I: IntoIterator<Item = u32>>(hot: I, n: u32) -> Vec
 /// A composed optimization pipeline: profile → model → transform.
 #[derive(Clone)]
 pub struct Pipeline {
-    /// Registry name this pipeline was built under (e.g.
+    /// Name this pipeline was built under (e.g.
     /// `"function-affinity"`); recorded on the [`OptimizedProgram`].
     pub name: String,
     /// The locality model.
@@ -323,11 +323,11 @@ impl Pipeline {
     }
 }
 
-/// Model and transform parameters a registry builder may draw from.
+/// Model and transform parameters a pipeline may draw from.
 ///
-/// Carrying all parameter families here keeps builders uniform: callers
-/// configure one struct and any registered pipeline picks the pieces it
-/// understands (exactly how [`crate::Optimizer`]'s public fields behave).
+/// Carrying all parameter families here keeps construction uniform:
+/// callers configure one struct and [`build_pipeline`] hands each pipeline
+/// the pieces its model understands.
 #[derive(Clone, Debug)]
 pub struct PipelineParams {
     /// Affinity model window range.
@@ -360,6 +360,15 @@ impl PipelineParams {
         }
     }
 
+    /// The paper's default parameters for the pipeline `name`: those of
+    /// its transform's granularity. `None` for a name outside
+    /// [`PIPELINES`].
+    pub fn for_pipeline(name: &str) -> Option<PipelineParams> {
+        Some(PipelineParams::for_granularity(
+            transform_of(name)?.granularity(),
+        ))
+    }
+
     /// This parameter set with the analysis worker count set to `jobs`.
     pub fn with_jobs(mut self, jobs: usize) -> PipelineParams {
         self.jobs = jobs.max(1);
@@ -367,122 +376,44 @@ impl PipelineParams {
     }
 }
 
-/// Builds a [`Pipeline`] from parameters.
-pub type PipelineBuilder = Box<dyn Fn(&PipelineParams) -> Pipeline + Send + Sync>;
+/// The paper's four pipelines, {function, bb} reordering × {w-window
+/// affinity, TRG}, in presentation order. Every name here builds through
+/// [`build_pipeline`]; no other name does.
+pub const PIPELINES: [&str; 4] = ["function-affinity", "bb-affinity", "function-trg", "bb-trg"];
 
-/// A name → pipeline-builder table.
-#[derive(Default)]
-pub struct PipelineRegistry {
-    entries: Vec<(String, PipelineBuilder)>,
-}
-
-impl PipelineRegistry {
-    /// An empty registry.
-    pub fn new() -> PipelineRegistry {
-        PipelineRegistry::default()
-    }
-
-    /// A registry pre-populated with the paper's four optimizers.
-    pub fn with_paper_pipelines() -> PipelineRegistry {
-        let mut reg = PipelineRegistry::new();
-        let combos: [(&str, bool); 4] = [
-            ("function-affinity", false),
-            ("bb-affinity", true),
-            ("function-trg", false),
-            ("bb-trg", true),
-        ];
-        for (name, is_bb) in combos {
-            let is_affinity = name.ends_with("affinity");
-            reg.register(name, move |p: &PipelineParams| {
-                let model: Arc<dyn LocalityModel> = if is_affinity {
-                    Arc::new(WWindowAffinity {
-                        config: p.affinity,
-                        jobs: p.jobs,
-                    })
-                } else {
-                    Arc::new(TrgModel {
-                        config: p.trg,
-                        jobs: p.jobs,
-                    })
-                };
-                let transform: Arc<dyn Transform> = if is_bb {
-                    Arc::new(BbReorder)
-                } else {
-                    Arc::new(FunctionReorder)
-                };
-                Pipeline::new(model, transform, p.profile)
-            });
-        }
-        reg
-    }
-
-    /// Register a builder under `name`, replacing any existing entry.
-    pub fn register(
-        &mut self,
-        name: &str,
-        builder: impl Fn(&PipelineParams) -> Pipeline + Send + Sync + 'static,
-    ) {
-        if let Some(slot) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = Box::new(builder);
-        } else {
-            self.entries.push((name.to_string(), Box::new(builder)));
-        }
-    }
-
-    /// Build the pipeline registered under `name`. The pipeline's recorded
-    /// name is the registry key.
-    pub fn build(&self, name: &str, params: &PipelineParams) -> Option<Pipeline> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(n, b)| {
-            let mut p = b(params);
-            p.name = n.clone();
-            p
-        })
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|(n, _)| n.clone()).collect()
+/// The transform a name in [`PIPELINES`] reorders with.
+fn transform_of(name: &str) -> Option<Arc<dyn Transform>> {
+    match name {
+        "function-affinity" | "function-trg" => Some(Arc::new(FunctionReorder)),
+        "bb-affinity" | "bb-trg" => Some(Arc::new(BbReorder)),
+        _ => None,
     }
 }
 
-fn global_registry() -> &'static RwLock<PipelineRegistry> {
-    static REGISTRY: OnceLock<RwLock<PipelineRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(PipelineRegistry::with_paper_pipelines()))
-}
-
-/// Register a pipeline builder in the process-global registry.
-///
-/// This is the extension point for fifth+ models: register once at startup
-/// and every dispatch-by-name site (CLI, experiments, [`crate::Optimizer`])
-/// can build the new pipeline without modification.
-pub fn register_pipeline(
-    name: &str,
-    builder: impl Fn(&PipelineParams) -> Pipeline + Send + Sync + 'static,
-) {
-    // Poison-tolerant: a panic in a supervised experiment job between
-    // lock and unlock cannot leave the registry in a torn state (every
-    // mutation is a single Vec operation), so keep serving it.
-    global_registry()
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .register(name, builder);
-}
-
-/// Build a pipeline by name from the process-global registry (the four
-/// paper optimizers plus anything added via [`register_pipeline`]).
+/// Build the pipeline named `name` (one of [`PIPELINES`]) from `params`;
+/// `None` for any other name. The pipeline's recorded name is `name`.
 pub fn build_pipeline(name: &str, params: &PipelineParams) -> Option<Pipeline> {
-    global_registry()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .build(name, params)
+    let transform = transform_of(name)?;
+    let model: Arc<dyn LocalityModel> = if name.ends_with("-affinity") {
+        Arc::new(WWindowAffinity {
+            config: params.affinity,
+            jobs: params.jobs,
+        })
+    } else {
+        Arc::new(TrgModel {
+            config: params.trg,
+            jobs: params.jobs,
+        })
+    };
+    Some(Pipeline::new(model, transform, params.profile))
 }
 
-/// Names registered in the process-global registry.
-pub fn registered_pipelines() -> Vec<String> {
-    global_registry()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .names()
+/// Run the pipeline `name` on `module` at its default parameters (unit
+/// tests across the crate).
+#[cfg(test)]
+pub(crate) fn optimize_named(name: &str, module: &Module) -> Result<OptimizedProgram, OptError> {
+    let params = PipelineParams::for_pipeline(name).unwrap();
+    build_pipeline(name, &params).unwrap().optimize(module)
 }
 
 #[cfg(test)]
@@ -502,14 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_registry_has_all_four_names() {
-        let names = registered_pipelines();
-        for name in ["function-affinity", "bb-affinity", "function-trg", "bb-trg"] {
-            assert!(names.iter().any(|n| n == name), "missing {}", name);
-        }
-    }
-
-    #[test]
     fn built_pipeline_optimizes_and_records_name() {
         let m = small_module();
         let params = PipelineParams::for_granularity(Granularity::Function);
@@ -523,40 +446,6 @@ mod tests {
     fn unknown_name_is_none() {
         let params = PipelineParams::for_granularity(Granularity::Function);
         assert!(build_pipeline("no-such-pipeline", &params).is_none());
-    }
-
-    #[test]
-    fn fifth_model_registers_without_touching_dispatch() {
-        // A trivial "reverse hotness" model: place profiled units in
-        // reverse first-touch order. Registering it makes it buildable by
-        // name with zero edits anywhere else.
-        struct ReverseModel;
-        impl LocalityModel for ReverseModel {
-            fn name(&self) -> &str {
-                "reverse"
-            }
-            fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
-                let mut seen = Vec::new();
-                for e in trace.iter() {
-                    if !seen.contains(&e) {
-                        seen.push(e);
-                    }
-                }
-                seen.reverse();
-                seen
-            }
-        }
-        register_pipeline("function-reverse", |p| {
-            Pipeline::new(Arc::new(ReverseModel), Arc::new(FunctionReorder), p.profile)
-        });
-        let m = small_module();
-        let params = PipelineParams::for_granularity(Granularity::Function);
-        let opt = build_pipeline("function-reverse", &params)
-            .unwrap()
-            .optimize(&m)
-            .unwrap();
-        assert_eq!(opt.name, "function-reverse");
-        assert!(opt.layout.is_permutation_of(&opt.module));
     }
 
     #[test]

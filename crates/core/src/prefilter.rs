@@ -11,7 +11,7 @@
 //!   layout, and order all candidates (plus the original layout) by
 //!   predicted score — the static mirror of the simulated ranking an
 //!   [`crate::OptimizationReport`] sweep would produce. Cross-validated by
-//!   the `exp_static_rank` experiment (Spearman gate).
+//!   the `exp static_rank` experiment (Spearman gate).
 //! * [`prefilter_pipelines`]: the pre-filter hook — keep only the top-k
 //!   statically ranked pipelines, so downstream simulation spends its
 //!   budget on candidates the static model already likes.
@@ -95,13 +95,13 @@ fn entry_for(name: &str, report: &StaticLocalityReport) -> StaticRankEntry {
 /// the candidates that exist.
 pub fn rank_pipelines_static(
     module: &Module,
-    names: &[String],
+    names: &[&str],
     params: &PipelineParams,
 ) -> StaticRanking {
     let mut entries = Vec::with_capacity(names.len() + 1);
     let base = static_score(module, &Layout::original(module));
     entries.push(entry_for(ORIGINAL_LAYOUT, &base));
-    for name in names {
+    for &name in names {
         let Some(pipe) = build_pipeline(name, params) else {
             continue;
         };
@@ -125,7 +125,7 @@ pub fn rank_pipelines_static(
 /// early.
 pub fn prefilter_pipelines(
     module: &Module,
-    names: &[String],
+    names: &[&str],
     params: &PipelineParams,
     keep: usize,
 ) -> Vec<String> {
@@ -141,7 +141,7 @@ pub fn prefilter_pipelines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::registered_pipelines;
+    use crate::pipeline::PIPELINES;
     use clop_ir::prelude::*;
     use clop_trace::Granularity;
 
@@ -166,18 +166,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn paper_names() -> Vec<String> {
-        ["function-affinity", "bb-affinity", "function-trg", "bb-trg"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    }
-
     #[test]
     fn ranking_covers_baseline_and_pipelines() {
         let m = loopy_module();
         let params = PipelineParams::for_granularity(Granularity::Function);
-        let r = rank_pipelines_static(&m, &paper_names(), &params);
+        let r = rank_pipelines_static(&m, &PIPELINES, &params);
         assert_eq!(r.entries.len(), 5);
         assert!(r.position(ORIGINAL_LAYOUT).is_some());
         for e in &r.entries {
@@ -193,8 +186,8 @@ mod tests {
     fn ranking_is_deterministic() {
         let m = loopy_module();
         let params = PipelineParams::for_granularity(Granularity::Function);
-        let a = rank_pipelines_static(&m, &paper_names(), &params);
-        let b = rank_pipelines_static(&m, &paper_names(), &params);
+        let a = rank_pipelines_static(&m, &PIPELINES, &params);
+        let b = rank_pipelines_static(&m, &PIPELINES, &params);
         assert_eq!(a.names(), b.names());
         for (x, y) in a.entries.iter().zip(&b.entries) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -205,10 +198,10 @@ mod tests {
     fn prefilter_keeps_top_k_without_baseline() {
         let m = loopy_module();
         let params = PipelineParams::for_granularity(Granularity::Function);
-        let kept = prefilter_pipelines(&m, &paper_names(), &params, 2);
+        let kept = prefilter_pipelines(&m, &PIPELINES, &params, 2);
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().all(|n| n != ORIGINAL_LAYOUT));
-        let all = prefilter_pipelines(&m, &paper_names(), &params, 99);
+        let all = prefilter_pipelines(&m, &PIPELINES, &params, 99);
         assert_eq!(all.len(), 4);
         // Top-2 is a prefix of the full ranking.
         assert_eq!(&all[..2], &kept[..]);
@@ -218,18 +211,8 @@ mod tests {
     fn unknown_pipelines_are_omitted() {
         let m = loopy_module();
         let params = PipelineParams::for_granularity(Granularity::Function);
-        let names = vec!["no-such-pipeline".to_string(), "function-trg".to_string()];
-        let r = rank_pipelines_static(&m, &names, &params);
+        let r = rank_pipelines_static(&m, &["no-such-pipeline", "function-trg"], &params);
         assert_eq!(r.entries.len(), 2); // original + function-trg
         assert!(r.position("function-trg").is_some());
-    }
-
-    #[test]
-    fn registry_names_all_rankable() {
-        let m = loopy_module();
-        let params = PipelineParams::for_granularity(Granularity::Function);
-        let names = registered_pipelines();
-        let r = rank_pipelines_static(&m, &names, &params);
-        assert!(r.entries.len() >= 5, "{:?}", r.names());
     }
 }

@@ -51,7 +51,7 @@ impl SideReport {
 pub struct OptimizationReport {
     /// Program name.
     pub program: String,
-    /// Optimizer that produced the layout.
+    /// Pipeline that produced the layout.
     pub optimizer: String,
     /// Baseline measurements.
     pub baseline: SideReport,
@@ -190,7 +190,7 @@ impl fmt::Display for OptimizationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{Optimizer, OptimizerKind};
+    use crate::pipeline::optimize_named;
     use clop_ir::prelude::*;
 
     fn victim() -> Module {
@@ -225,9 +225,7 @@ mod tests {
     #[test]
     fn report_is_internally_consistent() {
         let m = victim();
-        let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize_named("function-affinity", &m).unwrap();
         let r = OptimizationReport::build(&m, &opt, &eval());
         assert_eq!(r.program, "victim");
         assert_eq!(r.optimizer, "function-affinity");
@@ -247,9 +245,7 @@ mod tests {
     #[test]
     fn bb_report_shows_image_growth() {
         let m = victim();
-        let opt = Optimizer::new(OptimizerKind::BbAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize_named("bb-affinity", &m).unwrap();
         let r = OptimizationReport::build(&m, &opt, &eval());
         assert!(
             r.optimized.image_bytes > r.baseline.image_bytes,
@@ -260,9 +256,7 @@ mod tests {
     #[test]
     fn display_renders_all_rows() {
         let m = victim();
-        let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize_named("function-affinity", &m).unwrap();
         let text = OptimizationReport::build(&m, &opt, &eval()).to_string();
         for needle in [
             "solo miss ratio",
@@ -280,9 +274,7 @@ mod tests {
     #[test]
     fn touched_lines_positive_for_real_runs() {
         let m = victim();
-        let opt = Optimizer::new(OptimizerKind::FunctionTrg)
-            .optimize(&m)
-            .unwrap();
+        let opt = optimize_named("function-trg", &m).unwrap();
         let r = OptimizationReport::build(&m, &opt, &eval());
         assert!(r.baseline.touched_lines > 0);
         assert!(r.optimized.touched_lines > 0);

@@ -234,10 +234,7 @@ mod tests {
         let rand = random_search_function_order(&m, &cfg, 20, 7);
         assert!(best.stats.misses <= rand.stats.misses);
         // And the model-driven optimizer cannot beat the true optimum.
-        let opt =
-            crate::optimizer::Optimizer::new(crate::optimizer::OptimizerKind::FunctionAffinity)
-                .optimize(&m)
-                .unwrap();
+        let opt = crate::pipeline::optimize_named("function-affinity", &m).unwrap();
         let model = misses_of(&opt.module, &opt.layout, &cfg);
         assert!(best.stats.misses <= model.misses);
     }

@@ -142,7 +142,7 @@ fn cmd_batch_order(input: &str, pipeline: &str) -> Result<(), String> {
     let trimmed = load_trimmed(input)?;
     let pp = config.params.pipeline_params();
     let pipe = clop_core::build_pipeline(pipeline, &pp)
-        .ok_or_else(|| format!("no such registered pipeline: {}", pipeline))?;
+        .ok_or_else(|| clop_core::OptError::UnknownPipeline(pipeline.to_string()).to_string())?;
     let mut out = String::new();
     for id in pipe.model.sequence(&trimmed) {
         out.push_str(&id.0.to_string());

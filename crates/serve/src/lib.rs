@@ -20,7 +20,7 @@
 //!   [`clop_core::VersionState`]; absorption is idempotent per shard
 //!   sequence number, so duplicate delivery (including post-crash
 //!   re-streaming) is harmless.
-//! * **Queries** — `QUERY <version> <pipeline>` runs a registered
+//! * **Queries** — `QUERY <version> <pipeline>` runs the named
 //!   pipeline's locality model against the current fold; once every shard
 //!   of a trace is absorbed the answer is byte-identical to the batch
 //!   pipeline over the whole trace.

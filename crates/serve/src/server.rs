@@ -533,7 +533,7 @@ fn fold_durably(shared: &Arc<Shared>, version: &str, shard: &ShardFile) -> Resul
     outcome
 }
 
-/// `QUERY`: run a registered pipeline against the current fold — unless
+/// `QUERY`: run a named pipeline against the current fold — unless
 /// the daemon is degraded, in which case the query is shed with `-RETRY`
 /// (ingestion keeps its budget; recomputation waits).
 fn cmd_query(

@@ -42,7 +42,6 @@ pub mod footprint;
 pub mod histogram;
 pub mod io;
 pub mod mapping;
-pub mod phases;
 pub mod prune;
 pub mod sample;
 pub mod shard;

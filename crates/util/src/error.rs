@@ -14,9 +14,8 @@
 //! * [`ClopError::MappingParse`] — mapping-file (text) parse failures.
 //! * [`ClopError::IrParse`] — text-IR parse failures with line/column.
 //! * [`ClopError::IrBuild`] — module construction/validation failures.
-//! * [`ClopError::Pipeline`] — optimization pipeline and registry
-//!   failures (unknown pipeline name, transform rejections, empty
-//!   profiles).
+//! * [`ClopError::Pipeline`] — optimization pipeline failures (unknown
+//!   pipeline name, transform rejections, empty profiles).
 //! * [`ClopError::Experiment`] — experiment-runner failures: a job
 //!   returned an error, panicked, or exceeded the soft watchdog budget.
 //! * [`ClopError::Io`] — underlying I/O failures with a context string.
@@ -85,10 +84,9 @@ pub enum ClopError {
         /// What went wrong.
         detail: String,
     },
-    /// An optimization pipeline (or the registry dispatching to it)
-    /// failed.
+    /// An optimization pipeline failed, or none has the requested name.
     Pipeline {
-        /// Registry name of the pipeline involved (empty when unknown).
+        /// Name of the pipeline involved (empty when unknown).
         pipeline: String,
         /// What went wrong.
         detail: String,

@@ -20,7 +20,7 @@
 //! defensiveness, politeness, and N-way interference estimates, plus a
 //! set-conflict term from the static per-set pressure analysis. The
 //! combined [`StaticLocalityReport::score`] is the sub-millisecond layout
-//! ranking signal cross-validated against simulation by `exp_static_rank`.
+//! ranking signal cross-validated against simulation by `exp static_rank`.
 
 use crate::conflict::{analyze_conflicts, ConflictConfig};
 use clop_cachesim::model::{defensiveness, politeness};

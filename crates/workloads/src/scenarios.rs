@@ -165,11 +165,15 @@ mod tests {
     fn microservice_is_layout_sensitive() {
         // Its compact hot loop is diluted by 120 cold handlers; hot-first
         // reordering must help (or at worst be neutral).
-        use clop_core::{Optimizer, OptimizerKind, ProfileConfig};
+        use clop_core::{build_pipeline, PipelineParams, ProfileConfig};
         let w = microservice(5);
-        let mut opt = Optimizer::new(OptimizerKind::FunctionAffinity);
-        opt.profile = ProfileConfig::with_exec(w.test_exec);
-        let o = opt.optimize(&w.module).unwrap();
+        let name = "function-affinity";
+        let mut params = PipelineParams::for_pipeline(name).unwrap();
+        params.profile = ProfileConfig::with_exec(w.test_exec);
+        let o = build_pipeline(name, &params)
+            .unwrap()
+            .optimize(&w.module)
+            .unwrap();
         let base = solo_miss(&w);
         let img = LinkedImage::link(&o.module, &o.layout, LinkOptions::default());
         let out = Interpreter::new(w.ref_exec).run(&o.module);

@@ -10,7 +10,9 @@
 //! cargo run --release --example interprocedural_bb
 //! ```
 
-use code_layout_opt::core::{EvalConfig, Optimizer, OptimizerKind, ProfileConfig, ProgramRun};
+use code_layout_opt::core::{
+    build_pipeline, EvalConfig, PipelineParams, ProfileConfig, ProgramRun,
+};
 use code_layout_opt::ir::prelude::*;
 
 fn figure3_program() -> Module {
@@ -60,8 +62,11 @@ fn figure3_program() -> Module {
 
 fn main() {
     let module = figure3_program();
-    let optimizer = Optimizer::new(OptimizerKind::BbAffinity);
-    let optimized = optimizer.optimize(&module).expect("no wide dispatch here");
+    let params = PipelineParams::for_pipeline("bb-affinity").expect("a paper pipeline");
+    let optimized = build_pipeline("bb-affinity", &params)
+        .expect("a paper pipeline")
+        .optimize(&module)
+        .expect("no wide dispatch here");
 
     // Show the optimized global block order by name.
     let Layout::BlockOrder(order) = &optimized.layout else {

@@ -6,7 +6,9 @@
 //! ```
 
 use code_layout_opt::cachesim::TimingConfig;
-use code_layout_opt::core::{EvalConfig, Optimizer, OptimizerKind, ProfileConfig, ProgramRun};
+use code_layout_opt::core::{
+    build_pipeline, EvalConfig, PipelineParams, ProfileConfig, ProgramRun,
+};
 use code_layout_opt::ir::Layout;
 use code_layout_opt::workloads::{
     primary_program, probe_program, PrimaryBenchmark, ProbeBenchmark,
@@ -25,9 +27,12 @@ fn main() {
 
     // Profile on the test input, model with w-window affinity at basic-block
     // granularity, transform.
-    let mut optimizer = Optimizer::new(OptimizerKind::BbAffinity);
-    optimizer.profile = ProfileConfig::with_exec(w.test_exec);
-    let optimized = optimizer.optimize(&w.module).expect("gobmk is supported");
+    let mut params = PipelineParams::for_pipeline("bb-affinity").expect("a paper pipeline");
+    params.profile = ProfileConfig::with_exec(w.test_exec);
+    let optimized = build_pipeline("bb-affinity", &params)
+        .expect("a paper pipeline")
+        .optimize(&w.module)
+        .expect("gobmk is supported");
     println!(
         "profiled {} basic-block events; pruning retained {:.1}%",
         optimized.profile.bb_trace.len(),

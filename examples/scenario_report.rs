@@ -6,9 +6,19 @@
 //! ```
 
 use code_layout_opt::core::{
-    EvalConfig, OptimizationReport, Optimizer, OptimizerKind, ProfileConfig,
+    build_pipeline, EvalConfig, OptError, OptimizationReport, OptimizedProgram, PipelineParams,
+    ProfileConfig,
 };
-use code_layout_opt::workloads::scenarios;
+use code_layout_opt::workloads::{scenarios, Workload};
+
+/// Run the pipeline `name`, profiling on the workload's test input.
+fn optimize(w: &Workload, name: &str) -> Result<OptimizedProgram, OptError> {
+    let mut params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+    params.profile = ProfileConfig::with_exec(w.test_exec);
+    build_pipeline(name, &params)
+        .expect("a paper pipeline")
+        .optimize(&w.module)
+}
 
 fn main() {
     let workloads = [
@@ -18,18 +28,13 @@ fn main() {
     ];
     for w in workloads {
         println!("=== {} ===", w.name);
-        // Choose the best applicable optimizer: BB affinity when the
+        // Choose the best applicable pipeline: BB affinity when the
         // program has no over-wide dispatch, else function affinity.
-        let mut optimizer = Optimizer::new(OptimizerKind::BbAffinity);
-        optimizer.profile = ProfileConfig::with_exec(w.test_exec);
-        let optimized = match optimizer.optimize(&w.module) {
+        let optimized = match optimize(&w, "bb-affinity") {
             Ok(o) => o,
             Err(e) => {
                 println!("bb-affinity unavailable ({}); falling back", e);
-                let mut fo = Optimizer::new(OptimizerKind::FunctionAffinity);
-                fo.profile = ProfileConfig::with_exec(w.test_exec);
-                fo.optimize(&w.module)
-                    .expect("function reordering always applies")
+                optimize(&w, "function-affinity").expect("function reordering always applies")
             }
         };
         let eval = EvalConfig {

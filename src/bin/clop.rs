@@ -17,7 +17,8 @@
 
 use code_layout_opt::cachesim::TimingConfig;
 use code_layout_opt::core::{
-    EvalConfig, OptimizationReport, Optimizer, OptimizerKind, Profile, ProfileConfig, ProgramRun,
+    build_pipeline, EvalConfig, OptimizationReport, Pipeline, PipelineParams, Profile,
+    ProfileConfig, ProgramRun, PIPELINES,
 };
 use code_layout_opt::ir::{text, ExecConfig, Layout, Module};
 use std::process::ExitCode;
@@ -54,7 +55,7 @@ const HELP: &str = "\
 clop — whole-program code layout optimizer (Li et al., ICPP 2014)
 
 usage:
-  clop optimize <module.clop> [--optimizer KIND] [--seed N] [--fuel N]
+  clop optimize <module.clop> [--optimizer NAME] [--seed N] [--fuel N]
                 [--emit-module OUT] [--emit-order OUT]
   clop simulate <module.clop> [--seed N] [--fuel N]
   clop corun    <a.clop> <b.clop> [--seed N] [--fuel N]
@@ -71,31 +72,42 @@ fn load_module(path: &str) -> Result<Module, String> {
     text::parse(&src).map_err(|e| format!("{}: {}", path, e))
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].as_str())
+/// The argument after the flag `name`, or `None` when the flag is absent.
+/// A flag given last, with nothing after it, is an error.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v.as_str())),
+            None => Err(format!("{} needs a value", name)),
+        },
+    }
 }
 
 fn parse_exec(args: &[String], default_fuel: u64) -> Result<ExecConfig, String> {
     let mut cfg = ExecConfig::with_fuel(default_fuel);
-    if let Some(s) = flag_value(args, "--seed") {
+    if let Some(s) = flag_value(args, "--seed")? {
         cfg.seed = s.parse().map_err(|_| format!("bad --seed `{}`", s))?;
     }
-    if let Some(s) = flag_value(args, "--fuel") {
+    if let Some(s) = flag_value(args, "--fuel")? {
         cfg.max_events = s.parse().map_err(|_| format!("bad --fuel `{}`", s))?;
     }
     Ok(cfg)
 }
 
-fn parse_optimizer(args: &[String]) -> Result<OptimizerKind, String> {
-    match flag_value(args, "--optimizer").unwrap_or("bb-affinity") {
-        "function-affinity" => Ok(OptimizerKind::FunctionAffinity),
-        "bb-affinity" => Ok(OptimizerKind::BbAffinity),
-        "function-trg" => Ok(OptimizerKind::FunctionTrg),
-        "bb-trg" => Ok(OptimizerKind::BbTrg),
-        other => Err(format!("unknown optimizer `{}`", other)),
-    }
+/// The `--optimizer` pipeline (default `bb-affinity`) at its default
+/// parameters.
+fn parse_optimizer(args: &[String]) -> Result<Pipeline, String> {
+    let name = flag_value(args, "--optimizer")?.unwrap_or("bb-affinity");
+    PipelineParams::for_pipeline(name)
+        .and_then(|params| build_pipeline(name, &params))
+        .ok_or_else(|| {
+            format!(
+                "unknown optimizer `{}` (known: {})",
+                name,
+                PIPELINES.join(", ")
+            )
+        })
 }
 
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
@@ -104,11 +116,12 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         .filter(|a| !a.starts_with("--"))
         .ok_or("optimize needs a module file")?;
     let module = load_module(path)?;
-    let kind = parse_optimizer(args)?;
-    let mut optimizer = Optimizer::new(kind);
-    optimizer.profile = ProfileConfig::with_exec(parse_exec(args, 200_000)?);
+    let mut pipeline = parse_optimizer(args)?;
+    pipeline.profile = ProfileConfig::with_exec(parse_exec(args, 200_000)?);
+    let emit_module = flag_value(args, "--emit-module")?;
+    let emit_order = flag_value(args, "--emit-order")?;
 
-    let optimized = optimizer
+    let optimized = pipeline
         .optimize(&module)
         .map_err(|e| format!("optimization failed: {}", e))?;
     let eval = EvalConfig {
@@ -118,12 +131,12 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let report = OptimizationReport::build(&module, &optimized, &eval);
     print!("{}", report);
 
-    if let Some(out) = flag_value(args, "--emit-module") {
+    if let Some(out) = emit_module {
         std::fs::write(out, text::print(&optimized.module))
             .map_err(|e| format!("cannot write `{}`: {}", out, e))?;
         println!("wrote transformed module to {}", out);
     }
-    if let Some(out) = flag_value(args, "--emit-order") {
+    if let Some(out) = emit_order {
         let order = match &optimized.layout {
             Layout::FunctionOrder(fs) => fs
                 .iter()
@@ -209,7 +222,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         .filter(|a| !a.starts_with("--"))
         .ok_or("profile needs a module file")?;
     let module = load_module(path)?;
-    let top: usize = flag_value(args, "--top")
+    let top: usize = flag_value(args, "--top")?
         .map(|s| s.parse().map_err(|_| format!("bad --top `{}`", s)))
         .transpose()?
         .unwrap_or(10);
@@ -371,6 +384,24 @@ mod tests {
             "magic",
         ]))
         .unwrap_err();
-        assert!(e.contains("unknown optimizer"));
+        assert!(e.contains("unknown optimizer `magic`"), "{}", e);
+        for name in PIPELINES {
+            assert!(e.contains(name), "{}", e);
+        }
+    }
+
+    #[test]
+    fn flag_given_last_without_a_value_is_an_error() {
+        let dir = std::env::temp_dir().join("clop-cli-test3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("m.clop");
+        let p = p.to_str().unwrap();
+        run(&s(&["demo", p])).unwrap();
+        let e = run(&s(&["optimize", p, "--optimizer"])).unwrap_err();
+        assert!(e.contains("--optimizer needs a value"), "{}", e);
+        let e = run(&s(&["optimize", p, "--fuel"])).unwrap_err();
+        assert!(e.contains("--fuel needs a value"), "{}", e);
+        let e = run(&s(&["simulate", p, "--fuel"])).unwrap_err();
+        assert!(e.contains("--fuel needs a value"), "{}", e);
     }
 }

@@ -15,8 +15,8 @@
 //!   the footprint miss-composition model (Eqs 1–2), and the timing model,
 //! * [`affinity`] — the w-window reference-affinity hierarchy,
 //! * [`trg`] — temporal-relationship-graph construction and reduction,
-//! * [`core`] — the four optimizers (function/BB × affinity/TRG) and the
-//!   end-to-end profile → model → transform pipeline,
+//! * [`core`] — the end-to-end profile → model → transform pipeline and
+//!   its four instances (function/BB × affinity/TRG), built by name,
 //! * [`verify`] — the static IR/layout verifier and cache-set conflict
 //!   analyzer backing the pipeline verification stage and `clop-lint`,
 //! * [`workloads`] — the synthetic SPEC CPU2006-like benchmark suite.
@@ -27,7 +27,7 @@
 //! use code_layout_opt::prelude::*;
 //!
 //! // Build a small program, optimize its layout with the function-affinity
-//! // optimizer, and compare instruction-cache miss ratios.
+//! // pipeline, and compare instruction-cache miss ratios.
 //! let mut b = ModuleBuilder::new("demo");
 //! b.function("main")
 //!     .call("c1", 16, "work", "back")
@@ -38,8 +38,9 @@
 //! b.function("work").ret("body", 512).finish();
 //! let module = b.build().expect("well-formed");
 //!
-//! let optimizer = Optimizer::new(OptimizerKind::FunctionAffinity);
-//! let optimized = optimizer.optimize(&module).expect("profiling succeeds");
+//! let params = PipelineParams::for_pipeline("function-affinity").expect("a paper pipeline");
+//! let pipeline = build_pipeline("function-affinity", &params).expect("a paper pipeline");
+//! let optimized = pipeline.optimize(&module).expect("profiling succeeds");
 //!
 //! let cfg = EvalConfig::default();
 //! let base = ProgramRun::evaluate(&module, &Layout::original(&module), &cfg);

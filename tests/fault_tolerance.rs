@@ -4,7 +4,7 @@
 //! [`OptError`] — never a panic. This is the whole-workspace complement
 //! to the per-crate fault-injection suites (`clop-trace`, `clop-ir`).
 
-use code_layout_opt::core::{Engine, OptError, Optimizer, OptimizerKind};
+use code_layout_opt::core::{build_pipeline, Engine, OptError, PipelineParams, PIPELINES};
 use code_layout_opt::ir::prelude::*;
 
 /// One function, one block, no edges: the smallest possible program.
@@ -61,8 +61,10 @@ fn degenerate_modules() -> Vec<(&'static str, Module)> {
 #[test]
 fn all_pipelines_survive_degenerate_cfgs() {
     for (what, module) in degenerate_modules() {
-        for kind in OptimizerKind::ALL {
-            match Optimizer::new(kind).optimize(&module) {
+        for name in PIPELINES {
+            let params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+            let pipeline = build_pipeline(name, &params).expect("a paper pipeline");
+            match pipeline.optimize(&module) {
                 Ok(opt) => {
                     // A produced layout must cover the module it came from.
                     assert_eq!(
@@ -70,19 +72,19 @@ fn all_pipelines_survive_degenerate_cfgs() {
                         module.functions.len(),
                         "{}: {} changed the function count",
                         what,
-                        kind
+                        name
                     );
                 }
                 Err(e) => {
                     // Structured, renderable, convertible.
                     let shown = e.to_string();
-                    assert!(!shown.is_empty(), "{}: {} empty error", what, kind);
+                    assert!(!shown.is_empty(), "{}: {} empty error", what, name);
                     let c: clop_util::ClopError = e.into();
                     assert!(
                         matches!(c, clop_util::ClopError::Pipeline { .. }),
                         "{}: {} converted to {:?}",
                         what,
-                        kind,
+                        name,
                         c
                     );
                 }
@@ -97,19 +99,19 @@ fn all_pipelines_survive_degenerate_cfgs() {
 fn engine_memoizes_degenerate_results_consistently() {
     let engine = Engine::new();
     for (what, module) in degenerate_modules() {
-        for kind in OptimizerKind::ALL {
-            let opt = Optimizer::new(kind);
-            let a = engine.optimize(&module, &kind.to_string(), &opt.params());
-            let b = engine.optimize(&module, &kind.to_string(), &opt.params());
+        for name in PIPELINES {
+            let params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+            let a = engine.optimize(&module, name, &params);
+            let b = engine.optimize(&module, name, &params);
             match (a, b) {
                 (Ok(x), Ok(y)) => assert!(
                     std::sync::Arc::ptr_eq(&x, &y),
                     "{}: {} second call not memoized",
                     what,
-                    kind
+                    name
                 ),
-                (Err(x), Err(y)) => assert_eq!(x, y, "{}: {} inconsistent errors", what, kind),
-                _ => panic!("{}: {} flip-flopped between Ok and Err", what, kind),
+                (Err(x), Err(y)) => assert_eq!(x, y, "{}: {} inconsistent errors", what, name),
+                _ => panic!("{}: {} flip-flopped between Ok and Err", what, name),
             }
         }
     }
@@ -120,17 +122,20 @@ fn engine_memoizes_degenerate_results_consistently() {
 #[test]
 fn unknown_pipeline_is_reported_not_panicked() {
     let module = single_block();
-    let opt = Optimizer::new(OptimizerKind::FunctionAffinity);
+    let params = PipelineParams::for_pipeline("function-affinity").expect("a paper pipeline");
     let engine = Engine::new();
     let err = engine
-        .optimize(&module, "no-such-pipeline", &opt.params())
-        .expect_err("unregistered name must fail");
+        .optimize(&module, "no-such-pipeline", &params)
+        .expect_err("unknown name must fail");
     assert_eq!(err, OptError::UnknownPipeline("no-such-pipeline".into()));
     let c: clop_util::ClopError = err.into();
     match c {
         clop_util::ClopError::Pipeline { pipeline, detail } => {
             assert_eq!(pipeline, "no-such-pipeline");
-            assert!(detail.contains("not registered"));
+            assert!(detail.contains("unknown pipeline"), "{}", detail);
+            for name in PIPELINES {
+                assert!(detail.contains(name), "{}", detail);
+            }
         }
         other => panic!("unexpected variant {:?}", other),
     }

@@ -1,7 +1,7 @@
 //! The paper's three worked examples, end to end.
 
 use code_layout_opt::affinity::{analyze, AffinityConfig};
-use code_layout_opt::core::{Optimizer, OptimizerKind};
+use code_layout_opt::core::{build_pipeline, PipelineParams};
 use code_layout_opt::ir::prelude::*;
 use code_layout_opt::trace::TrimmedTrace;
 use code_layout_opt::trg::{reduce, Trg};
@@ -82,7 +82,9 @@ fn figure3_interprocedural_grouping() {
         .finish();
     let module = b.build().unwrap();
 
-    let opt = Optimizer::new(OptimizerKind::BbAffinity)
+    let params = PipelineParams::for_pipeline("bb-affinity").unwrap();
+    let opt = build_pipeline("bb-affinity", &params)
+        .unwrap()
         .optimize(&module)
         .expect("supported");
     let Layout::BlockOrder(order) = &opt.layout else {

@@ -2,8 +2,28 @@
 //! trace conditioning → locality models → transformations → linking →
 //! cache and timing simulation.
 
-use code_layout_opt::core::{EvalConfig, Optimizer, OptimizerKind, ProfileConfig, ProgramRun};
+use code_layout_opt::core::{
+    build_pipeline, EvalConfig, OptError, OptimizedProgram, PipelineParams, ProfileConfig,
+    ProgramRun, PIPELINES,
+};
 use code_layout_opt::ir::prelude::*;
+
+/// Run the pipeline `name` on `m` at `params`.
+fn optimize_at(
+    name: &str,
+    params: &PipelineParams,
+    m: &Module,
+) -> Result<OptimizedProgram, OptError> {
+    build_pipeline(name, params)
+        .expect("a paper pipeline")
+        .optimize(m)
+}
+
+/// Run the pipeline `name` on `m` at its default parameters.
+fn optimize(name: &str, m: &Module) -> Result<OptimizedProgram, OptError> {
+    let params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+    optimize_at(name, &params, m)
+}
 
 /// A program whose original layout provably conflicts: three 2 KB hot
 /// functions are each separated by a 2 KB cold blob, so in an 8 KB 2-way
@@ -54,12 +74,12 @@ fn eval() -> EvalConfig {
 #[test]
 fn every_optimizer_produces_a_linkable_program() {
     let m = victim();
-    for kind in OptimizerKind::ALL {
-        let opt = Optimizer::new(kind).optimize(&m).expect("no wide dispatch");
-        assert!(opt.layout.is_permutation_of(&opt.module), "{}", kind);
+    for name in PIPELINES {
+        let opt = optimize(name, &m).expect("no wide dispatch");
+        assert!(opt.layout.is_permutation_of(&opt.module), "{}", name);
         let run = ProgramRun::evaluate(&opt.module, &opt.layout, &eval());
-        assert!(run.instructions > 0, "{}", kind);
-        assert!(!run.stream.is_empty(), "{}", kind);
+        assert!(run.instructions > 0, "{}", name);
+        assert!(!run.stream.is_empty(), "{}", name);
     }
 }
 
@@ -67,9 +87,7 @@ fn every_optimizer_produces_a_linkable_program() {
 fn function_affinity_beats_original_layout_on_victim() {
     let m = victim();
     let base = ProgramRun::evaluate(&m, &Layout::original(&m), &eval());
-    let opt = Optimizer::new(OptimizerKind::FunctionAffinity)
-        .optimize(&m)
-        .unwrap();
+    let opt = optimize("function-affinity", &m).unwrap();
     let run = ProgramRun::evaluate(&opt.module, &opt.layout, &eval());
     let (b, o) = (base.solo_sim().miss_ratio(), run.solo_sim().miss_ratio());
     assert!(o < b, "optimized {} vs baseline {}", o, b);
@@ -79,9 +97,7 @@ fn function_affinity_beats_original_layout_on_victim() {
 fn bb_affinity_beats_original_layout_on_victim() {
     let m = victim();
     let base = ProgramRun::evaluate(&m, &Layout::original(&m), &eval());
-    let opt = Optimizer::new(OptimizerKind::BbAffinity)
-        .optimize(&m)
-        .unwrap();
+    let opt = optimize("bb-affinity", &m).unwrap();
     let run = ProgramRun::evaluate(&opt.module, &opt.layout, &eval());
     let (b, o) = (base.solo_sim().miss_ratio(), run.solo_sim().miss_ratio());
     assert!(o < b, "optimized {} vs baseline {}", o, b);
@@ -92,9 +108,7 @@ fn optimization_preserves_execution_semantics() {
     // The transformed module must execute the same work: same function
     // activation sequence and same dynamic instructions modulo stubs.
     let m = victim();
-    let opt = Optimizer::new(OptimizerKind::BbAffinity)
-        .optimize(&m)
-        .unwrap();
+    let opt = optimize("bb-affinity", &m).unwrap();
     let cfg = ExecConfig::default().seeded(123);
     let orig = Interpreter::new(cfg).run(&m);
     let tran = Interpreter::new(cfg).run(&opt.module);
@@ -110,9 +124,9 @@ fn profiling_and_evaluation_use_different_inputs() {
     // another. A mismatch must not panic or degenerate: test-input profile,
     // reference-input evaluation.
     let m = victim();
-    let mut optimizer = Optimizer::new(OptimizerKind::FunctionAffinity);
-    optimizer.profile = ProfileConfig::with_exec(ExecConfig::with_fuel(5_000).seeded(1));
-    let opt = optimizer.optimize(&m).unwrap();
+    let mut params = PipelineParams::for_pipeline("function-affinity").unwrap();
+    params.profile = ProfileConfig::with_exec(ExecConfig::with_fuel(5_000).seeded(1));
+    let opt = optimize_at("function-affinity", &params, &m).unwrap();
     let run = ProgramRun::evaluate(
         &opt.module,
         &opt.layout,
@@ -137,12 +151,8 @@ fn corun_is_symmetric_under_swap() {
 #[test]
 fn layouts_differ_across_optimizers() {
     let m = victim();
-    let fa = Optimizer::new(OptimizerKind::FunctionAffinity)
-        .optimize(&m)
-        .unwrap();
-    let ft = Optimizer::new(OptimizerKind::FunctionTrg)
-        .optimize(&m)
-        .unwrap();
+    let fa = optimize("function-affinity", &m).unwrap();
+    let ft = optimize("function-trg", &m).unwrap();
     // Both are permutations of the same module but need not be equal; at
     // minimum they must both be valid and deterministic.
     assert!(fa.layout.is_permutation_of(&m));

@@ -1,12 +1,13 @@
-//! The enum-keyed compatibility path (`Optimizer::optimize`) and the
-//! name-keyed pipeline registry must be two doors into the same machine:
-//! for every `OptimizerKind` and every example program, both must produce
-//! the identical `Layout` (or fail identically on the paper's N/A cases).
+//! The name table (`PIPELINES`, `build_pipeline`,
+//! `PipelineParams::for_pipeline`) and the memoized engine must be two doors
+//! into the same machine: every paper pipeline is reachable by its name,
+//! and for every name and every example program the direct
+//! `Pipeline::optimize` path and `Engine::optimize` produce the identical
+//! result (or fail identically on the paper's N/A cases).
 
-use code_layout_opt::core::{
-    build_pipeline, registered_pipelines, Optimizer, OptimizerKind, PipelineParams, ProfileConfig,
-};
+use code_layout_opt::core::{build_pipeline, Engine, PipelineParams, ProfileConfig, PIPELINES};
 use code_layout_opt::ir::prelude::*;
+use code_layout_opt::trace::Granularity;
 use code_layout_opt::workloads::{primary_program, PrimaryBenchmark};
 
 /// The inter-procedural example program of Figure 3 (see
@@ -47,44 +48,55 @@ fn figure3_program() -> Module {
     b.build().unwrap()
 }
 
+/// The direct path (`Pipeline::optimize`) and the memoized engine path
+/// (`Engine::optimize`, which reuses cached thresholds and graphs) agree
+/// for every pipeline.
 fn assert_paths_agree(module: &Module, profile: Option<ProfileConfig>) {
-    for kind in OptimizerKind::ALL {
-        let mut opt = Optimizer::new(kind);
-        if let Some(p) = &profile {
-            opt.profile = *p;
+    let engine = Engine::new();
+    for name in PIPELINES {
+        let mut params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+        if let Some(p) = profile {
+            params.profile = p;
         }
-        let via_enum = opt.optimize(module);
-        let pipeline = build_pipeline(&kind.to_string(), &opt.params())
-            .expect("all four paper pipelines are registered");
-        let via_registry = pipeline.optimize(module);
-        match (via_enum, via_registry) {
+        let direct = build_pipeline(name, &params)
+            .expect("a paper pipeline")
+            .optimize(module);
+        let memoized = engine.optimize(module, name, &params);
+        match (direct, memoized) {
             (Ok(a), Ok(b)) => {
-                assert_eq!(a.layout, b.layout, "layouts diverge for {}", kind);
-                assert_eq!(a.module, b.module, "modules diverge for {}", kind);
-                assert_eq!(a.name, b.name, "pipeline names diverge for {}", kind);
+                assert_eq!(a.layout, b.layout, "layouts diverge for {}", name);
+                assert_eq!(a.module, b.module, "modules diverge for {}", name);
+                assert_eq!(a.name, b.name, "pipeline names diverge for {}", name);
             }
-            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverge for {}", kind),
+            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverge for {}", name),
             (a, b) => panic!(
-                "paths disagree for {}: enum={:?} registry={:?}",
-                kind,
+                "paths disagree for {}: direct={:?} engine={:?}",
+                name,
                 a.map(|o| o.layout),
-                b.map(|o| o.layout)
+                b.map(|o| o.layout.clone())
             ),
         }
     }
 }
 
+/// Each of the four paper pipelines builds under its own name, and no
+/// other name builds anything.
 #[test]
 fn all_four_kinds_are_registered() {
-    let names = registered_pipelines();
-    for kind in OptimizerKind::ALL {
+    for name in ["function-affinity", "bb-affinity", "function-trg", "bb-trg"] {
         assert!(
-            names.contains(&kind.to_string()),
-            "{} missing from registry {:?}",
-            kind,
-            names
+            PIPELINES.contains(&name),
+            "{} missing from {:?}",
+            name,
+            PIPELINES
         );
+        let params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+        let pipeline = build_pipeline(name, &params).expect("a paper pipeline");
+        assert_eq!(pipeline.name, name);
     }
+    let params = PipelineParams::for_pipeline("function-affinity").unwrap();
+    assert!(build_pipeline("no-such-pipeline", &params).is_none());
+    assert!(PipelineParams::for_pipeline("no-such-pipeline").is_none());
 }
 
 #[test]
@@ -108,12 +120,27 @@ fn defensive_corun_example_programs_agree_across_paths() {
     }
 }
 
+/// A name's default parameters are those of its transform's granularity,
+/// and the `bb-` names are the basic-block ones.
 #[test]
 fn default_params_match_kind_granularity() {
-    for kind in OptimizerKind::ALL {
-        let from_kind = Optimizer::new(kind).params();
-        let from_granularity = PipelineParams::for_granularity(kind.granularity());
-        assert_eq!(from_kind.affinity, from_granularity.affinity);
-        assert_eq!(from_kind.trg, from_granularity.trg);
+    for name in PIPELINES {
+        let params = PipelineParams::for_pipeline(name).expect("a paper pipeline");
+        let pipeline = build_pipeline(name, &params).expect("a paper pipeline");
+        let granularity = pipeline.transform.granularity();
+        let expected = PipelineParams::for_granularity(granularity);
+        assert_eq!(params.affinity, expected.affinity, "{}", name);
+        assert_eq!(params.trg, expected.trg, "{}", name);
+        let bb = name.starts_with("bb-");
+        assert_eq!(
+            granularity,
+            if bb {
+                Granularity::BasicBlock
+            } else {
+                Granularity::Function
+            },
+            "{}",
+            name
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! files) compose with the optimization pipeline — a program and its
 //! profile can be saved, reloaded, and optimized to the identical layout.
 
-use code_layout_opt::core::{Optimizer, OptimizerKind, Profile, ProfileConfig};
+use code_layout_opt::core::{build_pipeline, PipelineParams, Profile, ProfileConfig};
 use code_layout_opt::ir::{text, ExecConfig, Interpreter, Module};
 use code_layout_opt::trace::{io as trace_io, BlockMap};
 use code_layout_opt::workloads::scenarios;
@@ -19,9 +19,10 @@ fn module_survives_file_round_trip_with_identical_optimization() {
     let reloaded = text::parse(&text_form).expect("parses back");
     assert_eq!(module, reloaded);
 
-    let opt = Optimizer::new(OptimizerKind::FunctionAffinity);
-    let a = opt.optimize(&module).unwrap();
-    let b = opt.optimize(&reloaded).unwrap();
+    let params = PipelineParams::for_pipeline("function-affinity").unwrap();
+    let pipeline = build_pipeline("function-affinity", &params).unwrap();
+    let a = pipeline.optimize(&module).unwrap();
+    let b = pipeline.optimize(&reloaded).unwrap();
     assert_eq!(a.layout, b.layout);
 }
 
