@@ -23,10 +23,11 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # Ratio guards: adaptive shard sizing must keep parallel analysis from
 # ever losing to the sequential pass — on any machine, at any worker
 # count. The corun/nway rows replay the same *total* access count split
-# across N tenants, so per-access cost staying O(1) in the tenant count
-# (i.e. total simulation cost ~linear in N for N× the work) keeps the
-# ns/iter ratio across widths near 1 (the allowance covers the higher
-# shared-L2 miss rate at high N, where tenant-tagged replication grows
+# across N tenants through the one shared-cache co-run replay
+# (simulate_corun_nway), so per-access cost staying O(1) in the tenant
+# count (i.e. total simulation cost ~linear in N for N× the work) keeps
+# the ns/iter ratio across widths near 1 (the allowance covers the higher
+# shared-cache miss rate at high N, where tenant-tagged replication grows
 # the aggregate footprint; an O(N)-per-access regression would measure
 # ~4× at width 8 and fail). Both sides of each guard come from the
 # same runs, so the checks are independent of absolute machine speed.

@@ -158,8 +158,8 @@ impl CorunLab {
         let speedup = orig_pair[1].finish_cycles / opt_pair[1].finish_cycles - 1.0;
         let miss_reduction_hw = orig_pair[1].stats.reduction_to(&opt_pair[1].stats);
         // Simulated channel.
-        let orig_sim = probe_run.corun_sim(base).per_thread[1];
-        let opt_sim = probe_run.corun_sim(opt).per_thread[1];
+        let orig_sim = probe_run.corun_sim_nway(&[base]).per_tenant[1];
+        let opt_sim = probe_run.corun_sim_nway(&[opt]).per_tenant[1];
         let miss_reduction_sim = orig_sim.reduction_to(&opt_sim);
         Some(PairResult {
             speedup,

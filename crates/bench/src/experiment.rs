@@ -15,7 +15,7 @@
 use crate::{eval_config, optimizer_for};
 use clop_core::{Engine, OptError, OptimizedProgram, PipelineParams, ProgramRun};
 use clop_ir::{Layout, Module};
-use clop_util::pool::{default_jobs, parallel_map};
+use clop_util::pool::parallel_map;
 use clop_util::Json;
 use clop_workloads::Workload;
 use std::sync::Arc;
@@ -220,38 +220,6 @@ pub fn all() -> Vec<Experiment> {
 /// Look an experiment up by name.
 pub fn find(name: &str) -> Option<Experiment> {
     all().into_iter().find(|e| e.name == name)
-}
-
-/// Parse `--jobs N` / `--jobs=N` from the process arguments; defaults to
-/// the machine's available parallelism.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--jobs" || a == "-j" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{} requires a value", a);
-                std::process::exit(2);
-            });
-            return parse_jobs(v);
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return parse_jobs(v);
-        }
-        i += 1;
-    }
-    default_jobs()
-}
-
-fn parse_jobs(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--jobs expects a positive integer, got {:?}", v);
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::{paper_cache, pct0, render_table};
 use clop_cachesim::coschedule::{
     all_pairings, greedy_pairing, interference_matrix, optimal_pairing, pairing_cost, worst_pairing,
 };
-use clop_cachesim::{simulate_corun_lines, CompositionModel};
+use clop_cachesim::{simulate_corun_nway, CompositionModel};
 use clop_trace::{BlockId, Trace};
 use clop_util::{Json, ToJson};
 use clop_workloads::full_suite;
@@ -90,8 +90,8 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
         .collect();
     let pair_sims = ctx.map(pair_list.clone(), |_, (i, j)| {
-        let r = simulate_corun_lines(lines[i], lines[j], cache);
-        (r.per_thread[0].miss_ratio() + r.per_thread[1].miss_ratio()) / 2.0
+        let r = simulate_corun_nway(&[lines[i], lines[j]], cache);
+        (r.per_tenant[0].miss_ratio() + r.per_tenant[1].miss_ratio()) / 2.0
     });
     let mut sim = vec![vec![0.0f64; n]; n];
     for (&(i, j), &v) in pair_list.iter().zip(&pair_sims) {
@@ -186,7 +186,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         text,
         "expectation: schedules chosen from solo traces alone rank near the top\n\
          of all {} simulated schedules; residual misranking traces back to the\n\
-         model's conflict-blindness (see exp_model_validation)",
+         model's conflict-blindness (see exp model_validation)",
         n_schedules
     )
     .unwrap();

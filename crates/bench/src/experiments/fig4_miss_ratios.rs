@@ -9,8 +9,7 @@
 //! solo miss ratio is non-trivial (≥ 0.5%).
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
-use crate::{paper_cache, pct0, render_table};
-use clop_cachesim::simulate_corun_lines;
+use crate::{pct0, render_table};
 use clop_util::{Json, ToJson};
 use clop_workloads::{probe_program, ProbeBenchmark, SuiteEntry};
 use std::fmt::Write as _;
@@ -37,20 +36,17 @@ impl ToJson for Row {
 /// The Figure 4 measurement over an explicit suite subset, sorted by solo
 /// miss ratio. The golden-regression test runs this on a reduced suite.
 pub fn rows_for(ctx: &ExperimentCtx, entries: Vec<SuiteEntry>) -> Vec<Row> {
-    let cache = paper_cache();
-    let gcc_lines = ctx.baseline(&probe_program(ProbeBenchmark::Gcc)).lines();
-    let gamess_lines = ctx.baseline(&probe_program(ProbeBenchmark::Gamess)).lines();
+    let gcc = ctx.baseline(&probe_program(ProbeBenchmark::Gcc));
+    let gamess = ctx.baseline(&probe_program(ProbeBenchmark::Gamess));
 
     let mut rows = ctx.map(entries, |_, entry| {
         let w = entry.workload();
         let run = ctx.baseline(&w);
-        let lines = run.lines();
         Row {
             name: entry.name.to_string(),
             solo: run.solo_sim().miss_ratio(),
-            corun_gcc: simulate_corun_lines(&lines, &gcc_lines, cache).per_thread[0].miss_ratio(),
-            corun_gamess: simulate_corun_lines(&lines, &gamess_lines, cache).per_thread[0]
-                .miss_ratio(),
+            corun_gcc: run.corun_sim_nway(&[&gcc]).per_tenant[0].miss_ratio(),
+            corun_gamess: run.corun_sim_nway(&[&gamess]).per_tenant[0].miss_ratio(),
         }
     });
     rows.sort_by(|a, b| b.solo.partial_cmp(&a.solo).unwrap());

@@ -7,16 +7,14 @@
 //! average strongly, and the heavier peer inflates it more.
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
-use crate::{paper_cache, pct, pct0, render_table};
-use clop_cachesim::simulate_corun_lines;
+use crate::{pct, pct0, render_table};
 use clop_util::{Json, ToJson};
 use clop_workloads::{full_suite, probe_program, ProbeBenchmark};
 use std::fmt::Write as _;
 
 pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    let cache = paper_cache();
-    let gcc = ctx.baseline(&probe_program(ProbeBenchmark::Gcc)).lines();
-    let gamess = ctx.baseline(&probe_program(ProbeBenchmark::Gamess)).lines();
+    let gcc = ctx.baseline(&probe_program(ProbeBenchmark::Gcc));
+    let gamess = ctx.baseline(&probe_program(ProbeBenchmark::Gamess));
 
     // Select programs with non-trivial solo miss ratio (≥ 0.5%), the
     // paper's "9 out of 29" set.
@@ -27,9 +25,8 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         if solo < 0.005 {
             return None;
         }
-        let lines = run.lines();
-        let c1 = simulate_corun_lines(&lines, &gcc, cache).per_thread[0].miss_ratio();
-        let c2 = simulate_corun_lines(&lines, &gamess, cache).per_thread[0].miss_ratio();
+        let c1 = run.corun_sim_nway(&[&gcc]).per_tenant[0].miss_ratio();
+        let c2 = run.corun_sim_nway(&[&gamess]).per_tenant[0].miss_ratio();
         Some((entry.name.to_string(), solo, c1, c2))
     });
     let selected: Vec<(String, f64, f64, f64)> = measured.into_iter().flatten().collect();

@@ -10,7 +10,7 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{paper_cache, pct0, render_table};
-use clop_cachesim::{simulate_corun_lines, CompositionModel};
+use clop_cachesim::{simulate_corun_nway, CompositionModel};
 use clop_trace::{Trace, TrimmedTrace};
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, PrimaryBenchmark};
@@ -76,7 +76,7 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
         let (sb, slines, smodel) = &runs[i];
         let (pb, plines, pmodel) = &runs[j];
         let predicted = smodel.corun_miss_probability(pmodel, capacity, 1.0);
-        let simulated = simulate_corun_lines(slines, plines, cache).per_thread[0].miss_ratio();
+        let simulated = simulate_corun_nway(&[slines, plines], cache).per_tenant[0].miss_ratio();
         Pair {
             subject: sb.name().to_string(),
             peer: pb.name().to_string(),

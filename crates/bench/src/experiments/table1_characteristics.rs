@@ -8,8 +8,7 @@
 //! 0.60% → 2.13% → 4.68%).
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
-use crate::{paper_cache, pct0, render_table};
-use clop_cachesim::simulate_corun_lines;
+use crate::{pct0, render_table};
 use clop_util::{Json, ToJson};
 use clop_workloads::{primary_program, probe_program, PrimaryBenchmark, ProbeBenchmark};
 use std::fmt::Write as _;
@@ -37,21 +36,19 @@ impl ToJson for Row {
 }
 
 pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
-    let cache = paper_cache();
-    let gcc = ctx.baseline(&probe_program(ProbeBenchmark::Gcc)).lines();
-    let gamess = ctx.baseline(&probe_program(ProbeBenchmark::Gamess)).lines();
+    let gcc = ctx.baseline(&probe_program(ProbeBenchmark::Gcc));
+    let gamess = ctx.baseline(&probe_program(ProbeBenchmark::Gamess));
 
     let rows = ctx.map(PrimaryBenchmark::ALL.to_vec(), |_, b| {
         let w = primary_program(b);
         let run = ctx.baseline(&w);
-        let lines = run.lines();
         Row {
             name: b.name().to_string(),
             dynamic_instrs: run.instructions,
             static_bytes: w.module.size_bytes(),
             solo: run.solo_sim().miss_ratio(),
-            corun_gcc: simulate_corun_lines(&lines, &gcc, cache).per_thread[0].miss_ratio(),
-            corun_gamess: simulate_corun_lines(&lines, &gamess, cache).per_thread[0].miss_ratio(),
+            corun_gcc: run.corun_sim_nway(&[&gcc]).per_tenant[0].miss_ratio(),
+            corun_gamess: run.corun_sim_nway(&[&gamess]).per_tenant[0].miss_ratio(),
         }
     });
 

@@ -6,8 +6,9 @@
 //!
 //! * the **Pin-based CMP L1I simulator** → [`icache`] (a set-associative
 //!   LRU cache, the paper's 32 KB / 4-way / 64 B configuration) driven
-//!   either solo or by a round-robin SMT interleave of two fetch streams
-//!   ([`corun`]) — the *Simulated* measurement channel,
+//!   either solo or by a round-robin SMT interleave of co-running fetch
+//!   streams, two for the paper's hyper-threads or more for N-peer
+//!   fleets ([`corun`]) — the *Simulated* measurement channel,
 //! * **PAPI hardware counters on a hyper-threaded Xeon** → the *HwLike*
 //!   channel: the same cache behind a next-line prefetcher ([`prefetch`])
 //!   inside a cycle-accounted SMT core model ([`timing`]), which also
@@ -37,13 +38,12 @@ pub mod timing;
 
 pub use config::{CacheConfig, CacheStats};
 pub use corun::{
-    interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
-    simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, tag_line, tenant_of_line,
-    CorunCacheResult, EvictionMatrix, FetchLine, NwayCorunResult, MAX_TENANTS,
+    interleave_many_iter, simulate_corun_nway, simulate_solo_lines, tag_line, FetchLine,
+    NwayCorunResult, MAX_TENANTS,
 };
 pub use icache::SetAssocCache;
 pub use model::{CompositionModel, InterferenceReport, NwayInterferenceReport, PeerFootprintDist};
-pub use multilevel::{simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoLevelResult};
+pub use multilevel::LevelStats;
 pub use occupancy::OccupancyMap;
 pub use policy::{simulate_with_policy, PolicyCache, ReplacementPolicy};
 pub use prefetch::NextLinePrefetchCache;
@@ -53,15 +53,12 @@ pub use timing::{InvalidTiming, SmtSimulator, ThreadOutcome, TimedRun, TimingCon
 pub mod prelude {
     pub use crate::config::{CacheConfig, CacheStats};
     pub use crate::corun::{
-        interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
-        simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, tag_line, tenant_of_line,
-        CorunCacheResult, EvictionMatrix, FetchLine, NwayCorunResult,
+        interleave_many_iter, simulate_corun_nway, simulate_solo_lines, tag_line, FetchLine,
+        NwayCorunResult,
     };
     pub use crate::icache::SetAssocCache;
     pub use crate::model::{CompositionModel, InterferenceReport, NwayInterferenceReport};
-    pub use crate::multilevel::{
-        simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoLevelResult,
-    };
+    pub use crate::multilevel::LevelStats;
     pub use crate::prefetch::NextLinePrefetchCache;
     pub use crate::timing::{InvalidTiming, SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
 }

@@ -2,8 +2,8 @@
 //! `clop_util::check` harness.
 
 use clop_cachesim::{
-    interleave_round_robin, simulate_corun_lines, simulate_solo_lines, simulate_with_policy,
-    tag_line, CacheConfig, ReplacementPolicy, SetAssocCache, SmtSimulator, TimingConfig,
+    interleave_many_iter, simulate_corun_nway, simulate_solo_lines, simulate_with_policy, tag_line,
+    CacheConfig, ReplacementPolicy, SetAssocCache, SmtSimulator, TimingConfig,
 };
 use clop_util::check::{check, check_n, vec_of};
 use clop_util::Rng;
@@ -45,25 +45,23 @@ fn more_ways_never_hurt_with_same_sets() {
     });
 }
 
-/// Round-robin interleaving preserves each stream's events in order.
+/// Round-robin interleaving preserves each stream's events in order, at
+/// any width.
 #[test]
 fn interleave_preserves_order() {
     check("interleave_preserves_order", |rng| {
-        let a = lines(rng, 64, 100);
-        let b = lines(rng, 64, 100);
-        let merged = interleave_round_robin(&a, &b);
-        let back_a: Vec<u64> = merged
-            .iter()
-            .filter(|(t, _)| *t == 0)
-            .map(|(_, l)| *l)
-            .collect();
-        let back_b: Vec<u64> = merged
-            .iter()
-            .filter(|(t, _)| *t == 1)
-            .map(|(_, l)| *l)
-            .collect();
-        assert_eq!(back_a, a);
-        assert_eq!(back_b, b);
+        let n = rng.gen_below(4) as usize + 1;
+        let streams: Vec<Vec<u64>> = (0..n).map(|_| lines(rng, 64, 100)).collect();
+        let slices: Vec<&[u64]> = streams.iter().map(|s| s.as_slice()).collect();
+        let merged: Vec<(usize, u64)> = interleave_many_iter(&slices).collect();
+        for (t, stream) in streams.iter().enumerate() {
+            let back: Vec<u64> = merged
+                .iter()
+                .filter(|(u, _)| *u == t)
+                .map(|(_, l)| *l)
+                .collect();
+            assert_eq!(&back, stream);
+        }
     });
 }
 
@@ -96,19 +94,17 @@ fn corun_streams_never_alias() {
     });
 }
 
-/// Co-run combined statistics equal the sum of per-thread statistics.
+/// Co-run combined statistics equal the sum of per-tenant statistics.
 #[test]
 fn corun_stats_additive() {
     check("corun_stats_additive", |rng| {
-        let a = lines(rng, 64, 150);
-        let b = lines(rng, 64, 150);
-        let r = simulate_corun_lines(&a, &b, small_cfg());
+        let n = rng.gen_below(4) as usize + 1;
+        let streams: Vec<Vec<u64>> = (0..n).map(|_| lines(rng, 64, 150)).collect();
+        let slices: Vec<&[u64]> = streams.iter().map(|s| s.as_slice()).collect();
+        let r = simulate_corun_nway(&slices, small_cfg());
         let c = r.combined();
-        assert_eq!(
-            c.accesses,
-            r.per_thread[0].accesses + r.per_thread[1].accesses
-        );
-        assert_eq!(c.misses, r.per_thread[0].misses + r.per_thread[1].misses);
+        assert_eq!(c.accesses, r.per_tenant.iter().map(|s| s.accesses).sum());
+        assert_eq!(c.misses, r.per_tenant.iter().map(|s| s.misses).sum());
     });
 }
 

@@ -8,8 +8,8 @@
 //! the timed HwLike model).
 
 use clop_cachesim::{
-    simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, CacheConfig, CacheStats,
-    CorunCacheResult, NwayCorunResult, SmtSimulator, ThreadOutcome, TimedRun, TimingConfig,
+    simulate_corun_nway, simulate_solo_lines, CacheConfig, CacheStats, NwayCorunResult,
+    SmtSimulator, ThreadOutcome, TimedRun, TimingConfig,
 };
 use clop_ir::{ExecConfig, ExecOutcome, Interpreter, Layout, LinkOptions, LinkedImage, Module};
 
@@ -117,15 +117,9 @@ impl ProgramRun {
         simulate_solo_lines(&self.stream, self.cache)
     }
 
-    /// Co-run miss statistics (round-robin SMT interleave) on the
-    /// pure-simulation channel; `self` is thread 0.
-    pub fn corun_sim(&self, peer: &ProgramRun) -> CorunCacheResult {
-        simulate_corun_lines(&self.lines(), &peer.lines(), self.cache)
-    }
-
-    /// N-way co-run on the pure-simulation channel: `self` is tenant 0,
-    /// the peers tenants 1..=N, all sharing one cache with round-robin
-    /// interleave and full eviction attribution.
+    /// Co-run miss statistics on the pure-simulation channel: `self` is
+    /// tenant 0, the peers tenants 1..=N, all sharing one cache with
+    /// round-robin SMT interleave. One peer is the paper's 2-thread co-run.
     pub fn corun_sim_nway(&self, peers: &[&ProgramRun]) -> NwayCorunResult {
         let mut streams = vec![self.stream.as_slice()];
         streams.extend(peers.iter().map(|p| p.stream.as_slice()));
@@ -227,21 +221,20 @@ mod tests {
         let m = spread_out_module();
         let cfg = EvalConfig::default();
         let a = ProgramRun::evaluate(&m, &Layout::original(&m), &cfg);
-        let sim = a.corun_sim(&a);
-        assert_eq!(sim.per_thread[0].accesses, sim.per_thread[1].accesses);
+        let sim = a.corun_sim_nway(&[&a]);
+        assert_eq!(sim.per_tenant[0].accesses, sim.per_tenant[1].accesses);
         let timed = a.corun_timed(&a, TimingConfig::default());
         assert!(timed[0].finish_cycles > 0.0 && timed[1].finish_cycles > 0.0);
     }
 
     #[test]
-    fn nway_corun_matches_pair_path_at_two() {
+    fn nway_corun_matches_line_replay() {
         let m = spread_out_module();
         let cfg = EvalConfig::default();
         let a = ProgramRun::evaluate(&m, &Layout::original(&m), &cfg);
-        let pair = a.corun_sim(&a);
+        let lines = a.lines();
         let nway = a.corun_sim_nway(&[&a]);
-        assert_eq!(nway.per_tenant[0], pair.per_thread[0]);
-        assert_eq!(nway.per_tenant[1], pair.per_thread[1]);
+        assert_eq!(nway, simulate_corun_nway(&[&lines, &lines], a.cache));
         // Wider co-runs never improve tenant 0's miss ratio.
         let wide = a.corun_sim_nway(&[&a, &a, &a]);
         assert!(

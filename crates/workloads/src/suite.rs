@@ -241,7 +241,7 @@ fn entry_by_name(name: &str) -> SuiteEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clop_cachesim::{simulate_corun_lines, simulate_solo_lines, CacheConfig};
+    use clop_cachesim::{simulate_corun_nway, simulate_solo_lines, CacheConfig};
     use clop_ir::{line_trace, Interpreter, Layout, LinkOptions, LinkedImage};
 
     fn solo_lines(w: &Workload) -> Vec<u64> {
@@ -314,7 +314,7 @@ mod tests {
         let omnetpp = solo_lines(&entry_by_name("471.omnetpp").workload());
         let probe = solo_lines(&probe_program(ProbeBenchmark::Gamess));
         let solo = simulate_solo_lines(&omnetpp, cache).miss_ratio();
-        let corun = simulate_corun_lines(&omnetpp, &probe, cache).per_thread[0].miss_ratio();
+        let corun = simulate_corun_nway(&[&omnetpp, &probe], cache).per_tenant[0].miss_ratio();
         assert!(
             corun > solo * 1.5,
             "sensitive program: solo {} corun {}",

@@ -69,17 +69,17 @@ fn main() {
     };
     let rs = run(&small);
     let rl = run(&large);
-    let corun = rs.corun_sim(&rl);
+    let corun = rs.corun_sim_nway(&[&rl]);
     println!("\nshared-cache simulation (32 KB L1I):");
     println!(
         "  mcf solo {:.3}% → co-run {:.3}%",
         100.0 * rs.solo_sim().miss_ratio(),
-        100.0 * corun.per_thread[0].miss_ratio()
+        100.0 * corun.per_tenant[0].miss_ratio()
     );
     println!(
         "  gcc solo {:.3}% → co-run {:.3}%",
         100.0 * rl.solo_sim().miss_ratio(),
-        100.0 * corun.per_thread[1].miss_ratio()
+        100.0 * corun.per_tenant[1].miss_ratio()
     );
     println!("\nboth views agree: the small program is the *polite* peer (it barely");
     println!("inflates gcc's misses) but the *sensitive* one — its near-zero solo miss");

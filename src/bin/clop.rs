@@ -192,7 +192,7 @@ fn cmd_corun(args: &[String]) -> Result<(), String> {
     };
     let ra = ProgramRun::evaluate(&ma, &Layout::original(&ma), &eval);
     let rb = ProgramRun::evaluate(&mb, &Layout::original(&mb), &eval);
-    let sim = ra.corun_sim(&rb);
+    let sim = ra.corun_sim_nway(&[&rb]);
     println!("shared-cache co-run ({} + {}):", ma.name, mb.name);
     for (i, (name, solo)) in [(&ma.name, ra.solo_sim()), (&mb.name, rb.solo_sim())]
         .iter()
@@ -202,7 +202,7 @@ fn cmd_corun(args: &[String]) -> Result<(), String> {
             "  {:<16} solo {:.3}%  co-run {:.3}%",
             name,
             100.0 * solo.miss_ratio(),
-            100.0 * sim.per_thread[i].miss_ratio()
+            100.0 * sim.per_tenant[i].miss_ratio()
         );
     }
     let timing = TimingConfig::hw_like();

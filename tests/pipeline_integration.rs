@@ -142,10 +142,10 @@ fn profiling_and_evaluation_use_different_inputs() {
 fn corun_is_symmetric_under_swap() {
     let m = victim();
     let a = ProgramRun::evaluate(&m, &Layout::original(&m), &eval());
-    let r1 = a.corun_sim(&a);
+    let r1 = a.corun_sim_nway(&[&a]);
     // Identical streams on both threads: per-thread stats must match.
-    assert_eq!(r1.per_thread[0].accesses, r1.per_thread[1].accesses);
-    assert_eq!(r1.per_thread[0].misses, r1.per_thread[1].misses);
+    assert_eq!(r1.per_tenant[0].accesses, r1.per_tenant[1].accesses);
+    assert_eq!(r1.per_tenant[0].misses, r1.per_tenant[1].misses);
 }
 
 #[test]

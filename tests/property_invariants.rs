@@ -2,7 +2,7 @@
 //! `clop_util::check` harness.
 
 use code_layout_opt::affinity::{affinity_layout, naive, AffinityConfig, PairThresholds};
-use code_layout_opt::cachesim::{simulate_corun_lines, simulate_solo_lines, CacheConfig};
+use code_layout_opt::cachesim::{simulate_corun_nway, simulate_solo_lines, CacheConfig};
 use code_layout_opt::trace::{BlockId, LruStack, Pruner, ReuseHistogram, Trace, TrimmedTrace};
 use code_layout_opt::trg::{trg_layout, TrgConfig};
 use code_layout_opt::util::check::check;
@@ -103,11 +103,11 @@ fn corun_never_helps() {
         let lb: Vec<u64> = b.iter().map(|&x| x as u64).collect();
         let solo_a = simulate_solo_lines(&la, cfg);
         let solo_b = simulate_solo_lines(&lb, cfg);
-        let co = simulate_corun_lines(&la, &lb, cfg);
-        assert_eq!(co.per_thread[0].accesses, solo_a.accesses);
-        assert_eq!(co.per_thread[1].accesses, solo_b.accesses);
-        assert!(co.per_thread[0].misses >= solo_a.misses);
-        assert!(co.per_thread[1].misses >= solo_b.misses);
+        let co = simulate_corun_nway(&[&la, &lb], cfg).per_tenant;
+        assert_eq!(co[0].accesses, solo_a.accesses);
+        assert_eq!(co[1].accesses, solo_b.accesses);
+        assert!(co[0].misses >= solo_a.misses);
+        assert!(co[1].misses >= solo_b.misses);
     });
 }
 
