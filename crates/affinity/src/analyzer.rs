@@ -32,14 +32,18 @@
 //! nowhere; pairs survive only when the per-direction credit count equals
 //! the block's trace-wide occurrence count (Definition 3 quantifies over
 //! *every* occurrence). This counting formulation makes per-shard results
-//! mergeable: see [`crate::shard`] for the parallel driver that this
-//! sequential entry point shares its engine with.
+//! mergeable: [`PairThresholds::measure_jobs`] runs the engine of
+//! [`crate::shard`] over one region, or over several in parallel.
 //!
 //! Cost is O(N·w_max) stack work plus one credit per (occurrence,
 //! co-resident pair) — the paper's O(W·N·B) bound with the dense `B`
 //! factor replaced by actual co-residence counts.
 
+use crate::incremental::{AffinityDelta, AffinityState};
+use crate::shard::{heat_ranks, measure_region};
+use clop_trace::shard::shards_adaptive;
 use clop_trace::{BlockId, TrimmedTrace};
+use clop_util::pool::parallel_map;
 use clop_util::FxHashMap;
 
 /// Pairwise affinity thresholds up to a window bound.
@@ -52,18 +56,49 @@ pub struct PairThresholds {
 impl PairThresholds {
     /// Run the one-pass analysis over a trimmed trace.
     pub fn measure(trace: &TrimmedTrace, w_max: u32) -> Self {
-        crate::shard::measure_jobs(trace, w_max, 1)
+        Self::measure_jobs(trace, w_max, 1)
     }
 
-    /// [`PairThresholds::measure`] with the trace split into up to `jobs`
-    /// shards processed on the worker pool. The result is bit-identical
-    /// for any `jobs` value (window-overlap sharding with an
-    /// order-independent merge; see [`crate::shard`]).
+    /// [`PairThresholds::measure`] with the trace split into adaptively
+    /// sized shards (at most `jobs`) processed on the worker pool. The
+    /// result is bit-identical for any `jobs` value (window-overlap
+    /// sharding with an order-independent merge; see [`crate::shard`]).
+    ///
+    /// The multi-shard path is the incremental fold: each shard produces an
+    /// [`AffinityDelta`], the deltas are absorbed into an [`AffinityState`],
+    /// and `finalize` applies the Definition 3 coverage filter — the same
+    /// machinery the streaming path uses. A single region (the sequential
+    /// case, and any trace too small for adaptive sharding to split) applies
+    /// the coverage filter directly against the trace-wide occurrence counts,
+    /// skipping the delta round trip; the fold's equivalence to this path is
+    /// pinned by the property suites.
     pub fn measure_jobs(trace: &TrimmedTrace, w_max: u32, jobs: usize) -> Self {
-        crate::shard::measure_jobs(trace, w_max, jobs)
+        let w_max = w_max.max(2);
+        let (cap, rank, nd) = heat_ranks(trace);
+        let regions = shards_adaptive(trace, jobs, w_max as usize + 1, w_max as usize);
+        if let [sh] = regions.as_slice() {
+            let reported = measure_region(trace, w_max, cap, &rank, nd, *sh);
+            let counts = trace.occurrence_counts();
+            let mut map = FxHashMap::default();
+            for ((lo, hi), (thr, fin_lo, fin_hi)) in reported {
+                if thr >= 2 && fin_lo == counts[lo as usize] && fin_hi == counts[hi as usize] {
+                    map.insert((lo, hi), thr);
+                }
+            }
+            return PairThresholds { map, w_max };
+        }
+        let deltas = parallel_map(jobs, regions, |i, sh| {
+            AffinityDelta::of_region(i as u64, trace, w_max, cap, &rank, nd, sh)
+        });
+        let mut state = AffinityState::new(w_max);
+        for d in &deltas {
+            // Cannot fail: the deltas share `w_max` and carry distinct seqs.
+            let _ = state.absorb(d);
+        }
+        state.finalize()
     }
 
-    /// Assemble from a measured map (crate-internal: the shard merge layer
+    /// Assemble from a measured map (crate-internal: the incremental fold
     /// builds the map).
     pub(crate) fn from_parts(map: FxHashMap<(u32, u32), u32>, w_max: u32) -> Self {
         PairThresholds { map, w_max }
@@ -109,7 +144,7 @@ impl PairThresholds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive;
+    use clop_oracle::pair_threshold;
 
     fn b(i: u32) -> BlockId {
         BlockId(i)
@@ -125,7 +160,7 @@ mod tests {
         let eff = PairThresholds::measure(&t, 8);
         for x in 1..=5u32 {
             for y in (x + 1)..=5u32 {
-                let exact = naive::pair_threshold(&t, b(x), b(y));
+                let exact = pair_threshold(&t, b(x), b(y));
                 assert_eq!(eff.get(b(x), b(y)), exact, "pair ({}, {})", x, y);
             }
         }
@@ -150,7 +185,7 @@ mod tests {
             let eff = PairThresholds::measure(&t, w_max);
             for x in 0..9u32 {
                 for y in (x + 1)..9u32 {
-                    let exact = naive::pair_threshold(&t, b(x), b(y)).filter(|&v| v <= w_max);
+                    let exact = pair_threshold(&t, b(x), b(y)).filter(|&v| v <= w_max);
                     assert_eq!(
                         eff.get(b(x), b(y)),
                         exact,
@@ -193,7 +228,7 @@ mod tests {
         // must still credit it.
         let t = TrimmedTrace::from_indices([0, 1, 0, 2]);
         let eff = PairThresholds::measure(&t, 5);
-        assert_eq!(eff.get(b(0), b(2)), naive::pair_threshold(&t, b(0), b(2)));
+        assert_eq!(eff.get(b(0), b(2)), pair_threshold(&t, b(0), b(2)));
         assert_eq!(eff.get(b(0), b(2)), Some(3));
     }
 

@@ -9,17 +9,14 @@
 //! the **affinity hierarchy** (Definition 5); the optimized code order is a
 //! bottom-up traversal of that hierarchy.
 //!
-//! Two analyzers compute pairwise affinity:
-//!
-//! * [`naive`] — the literal quadratic reference implementation of
-//!   Algorithm 1, kept for ground truth in tests and ablations,
-//! * [`analyzer`] — the efficient single-pass stack method the paper
-//!   describes in §II-B ("we run a stack simulation of the trace; at each
-//!   step we see all basic blocks that occur in a w-window with the
-//!   accessed block"), O(W·N) per trace, run shard-parallel by [`shard`].
-//!   It is exact up to the window bound: every pair threshold `≤ w_max`
-//!   equals the naive analyzer's (tested in `analyzer.rs` and
-//!   `tests/shard_identity.rs`).
+//! [`analyzer`] computes pairwise affinity with the efficient single-pass
+//! stack method the paper describes in §II-B ("we run a stack simulation of
+//! the trace; at each step we see all basic blocks that occur in a w-window
+//! with the accessed block"), O(W·N) per trace, run shard-parallel by
+//! [`shard`]. It is exact up to the window bound: every pair threshold
+//! `≤ w_max` equals the literal quadratic reading of Definition 3, the
+//! `clop_oracle::pair_threshold` test oracle (tested in `analyzer.rs` and
+//! `tests/shard_identity.rs`).
 //!
 //! [`hierarchy`] turns pairwise thresholds into the level-by-level
 //! partition with the paper's "lower-level group takes precedence" rule and
@@ -35,7 +32,6 @@
 pub mod analyzer;
 pub mod hierarchy;
 pub mod incremental;
-pub mod naive;
 pub mod shard;
 
 pub use analyzer::PairThresholds;

@@ -6,9 +6,9 @@
 //! [`Shard`]: the backward overlap replays recency state, the core
 //! attributes occurrences, and the forward extension resolves core
 //! occurrences whose first partner access falls just past the core.
-//! [`measure_jobs`] fans the regions over the worker pool and merges with
-//! order-independent reductions, so the result is bit-identical for any
-//! worker count.
+//! [`PairThresholds::measure_jobs`](crate::PairThresholds::measure_jobs)
+//! fans the regions over the worker pool and merges with order-independent reductions, so the result is
+//! bit-identical for any worker count.
 //!
 //! **Merge exactness.** Each shard reports, per pair and per direction, the
 //! *max credited footprint* and the *count of credited occurrences*. Every
@@ -32,11 +32,8 @@
 //! occurrence with no partner occurrence within the window is credited
 //! nowhere, and the sum falls short of the trace-wide occurrence count).
 
-use crate::analyzer::PairThresholds;
-use crate::incremental::{AffinityDelta, AffinityState};
-use clop_trace::shard::{shards_adaptive, Shard};
+use clop_trace::shard::Shard;
 use clop_trace::TrimmedTrace;
-use clop_util::pool::parallel_map;
 use clop_util::FxHashMap;
 
 /// Per-shard, per-pair report: max credited footprint plus per-direction
@@ -399,47 +396,10 @@ pub(crate) fn heat_ranks(trace: &TrimmedTrace) -> (usize, Vec<u32>, usize) {
     (cap, rank, nd)
 }
 
-/// Measure pairwise thresholds with the trace split into adaptively sized
-/// shards (at most `jobs`) processed on the worker pool. Bit-identical to
-/// a single sequential pass for any `jobs` value.
-///
-/// The multi-shard path is the incremental fold: each shard produces an
-/// [`AffinityDelta`], the deltas are absorbed into an [`AffinityState`],
-/// and `finalize` applies the Definition 3 coverage filter — the same
-/// machinery the streaming path uses. A single region (the sequential
-/// case, and any trace too small for adaptive sharding to split) applies
-/// the coverage filter directly against the trace-wide occurrence counts,
-/// skipping the delta round trip; the fold's equivalence to this path is
-/// pinned by the property suites.
-pub(crate) fn measure_jobs(trace: &TrimmedTrace, w_max: u32, jobs: usize) -> PairThresholds {
-    let w_max = w_max.max(2);
-    let (cap, rank, nd) = heat_ranks(trace);
-    let regions = shards_adaptive(trace, jobs, w_max as usize + 1, w_max as usize);
-    if let [sh] = regions.as_slice() {
-        let reported = measure_region(trace, w_max, cap, &rank, nd, *sh);
-        let counts = trace.occurrence_counts();
-        let mut map = FxHashMap::default();
-        for ((lo, hi), (thr, fin_lo, fin_hi)) in reported {
-            if thr >= 2 && fin_lo == counts[lo as usize] && fin_hi == counts[hi as usize] {
-                map.insert((lo, hi), thr);
-            }
-        }
-        return PairThresholds::from_parts(map, w_max);
-    }
-    let deltas = parallel_map(jobs, regions, |i, sh| {
-        AffinityDelta::of_region(i as u64, trace, w_max, cap, &rank, nd, sh)
-    });
-    let mut state = AffinityState::new(w_max);
-    for d in &deltas {
-        // Cannot fail: the deltas share `w_max` and carry distinct seqs.
-        let _ = state.absorb(d);
-    }
-    state.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PairThresholds;
     use clop_trace::BlockId;
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
@@ -463,9 +423,9 @@ mod tests {
     fn sharded_measure_is_bit_identical_for_any_jobs() {
         for seed in 0..24u64 {
             let t = random_trace(seed, 400, 12);
-            let reference = measure_jobs(&t, 6, 1);
+            let reference = PairThresholds::measure_jobs(&t, 6, 1);
             for jobs in [2usize, 3, 5, 8, 64] {
-                let sharded = measure_jobs(&t, 6, jobs);
+                let sharded = PairThresholds::measure_jobs(&t, 6, jobs);
                 assert_eq!(
                     sorted_pairs(&reference),
                     sorted_pairs(&sharded),
@@ -483,10 +443,10 @@ mod tests {
             let t = random_trace(seed.wrapping_add(100), 220, 9);
             let w_max = 5u32;
             for jobs in [1usize, 3, 7] {
-                let eff = measure_jobs(&t, w_max, jobs);
+                let eff = PairThresholds::measure_jobs(&t, w_max, jobs);
                 for x in 0..9u32 {
                     for y in (x + 1)..9u32 {
-                        let exact = crate::naive::pair_threshold(&t, BlockId(x), BlockId(y))
+                        let exact = clop_oracle::pair_threshold(&t, BlockId(x), BlockId(y))
                             .filter(|&v| v <= w_max);
                         assert_eq!(
                             eff.get(BlockId(x), BlockId(y)),
@@ -507,11 +467,11 @@ mod tests {
     fn tiny_traces_shard_cleanly() {
         for ids in [vec![0u32], vec![0, 1], vec![0, 1, 0], vec![5, 9]] {
             let t = TrimmedTrace::from_indices(ids.clone());
-            let reference = measure_jobs(&t, 4, 1);
+            let reference = PairThresholds::measure_jobs(&t, 4, 1);
             for jobs in [2usize, 4, 16] {
                 assert_eq!(
                     sorted_pairs(&reference),
-                    sorted_pairs(&measure_jobs(&t, 4, jobs)),
+                    sorted_pairs(&PairThresholds::measure_jobs(&t, 4, jobs)),
                     "ids {:?} jobs {}",
                     ids,
                     jobs

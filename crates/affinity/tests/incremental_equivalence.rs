@@ -5,7 +5,7 @@
 
 use clop_affinity::{AffinityDelta, AffinityState, PairThresholds};
 use clop_trace::shard::shards;
-use clop_trace::shardfile::{read_shard, split_shards};
+use clop_trace::shardfile::{read_shard, split_shards_columnar};
 use clop_trace::TrimmedTrace;
 use clop_util::check::{check_n, vec_of_indices};
 use clop_util::Rng;
@@ -88,7 +88,7 @@ fn shard_files_round_trip_into_identical_state() {
         let batch = PairThresholds::measure(&t, w_max);
 
         let mut state = AffinityState::new(w_max);
-        for bytes in split_shards(&t, pieces, w_max, 0).iter().rev() {
+        for bytes in split_shards_columnar(&t, pieces, w_max, 0).iter().rev() {
             let sf = read_shard(&mut bytes.as_slice()).unwrap();
             let d = AffinityDelta::measure(sf.seq, &sf.trace, w_max, sf.core_start, sf.core_end);
             state.absorb(&d).unwrap();

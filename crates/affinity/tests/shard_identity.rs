@@ -1,9 +1,11 @@
 //! Bulk differential suite for the sharded affinity analyzer: across
 //! hundreds of random traces, `measure_jobs` must be bit-identical for
 //! every worker count, and must agree exactly with the quadratic naive
-//! oracle (thresholds beyond `w_max` reported as `None`).
+//! oracle `clop_oracle::pair_threshold` (thresholds beyond `w_max`
+//! reported as `None`).
 
-use clop_affinity::{naive, PairThresholds};
+use clop_affinity::PairThresholds;
+use clop_oracle::pair_threshold;
 use clop_trace::{BlockId, TrimmedTrace};
 
 /// A deterministic random trace: length, universe and contents all derive
@@ -58,8 +60,7 @@ fn sharded_thresholds_agree_with_naive_oracle_bulk() {
             let eff = PairThresholds::measure_jobs(&t, w_max, jobs);
             for x in 0..blocks {
                 for y in (x + 1)..blocks {
-                    let exact =
-                        naive::pair_threshold(&t, BlockId(x), BlockId(y)).filter(|&v| v <= w_max);
+                    let exact = pair_threshold(&t, BlockId(x), BlockId(y)).filter(|&v| v <= w_max);
                     assert_eq!(
                         eff.get(BlockId(x), BlockId(y)),
                         exact,

@@ -3,7 +3,8 @@
 //! bounds. The paper's claim: the efficient method keeps whole-program
 //! analysis within "a couple of times of original compilation time".
 
-use clop_affinity::{affinity_layout, naive, AffinityConfig, PairThresholds};
+use clop_affinity::{affinity_layout, AffinityConfig, PairThresholds};
+use clop_oracle::pair_threshold;
 use clop_trace::{BlockId, TrimmedTrace};
 use clop_util::bench::{quick, Runner};
 
@@ -63,7 +64,7 @@ fn main() {
                 let mut total = 0usize;
                 for x in 0..16u32 {
                     for y in (x + 1)..16u32 {
-                        if naive::pair_threshold(&trace, BlockId(x), BlockId(y)).is_some() {
+                        if pair_threshold(&trace, BlockId(x), BlockId(y)).is_some() {
                             total += 1;
                         }
                     }

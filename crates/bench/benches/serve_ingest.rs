@@ -13,7 +13,7 @@
 use clop_core::incremental::AnalysisParams;
 use clop_serve::session::{Session, SessionConfig};
 use clop_serve::{ServeConfig, Server};
-use clop_trace::{split_shards, TrimmedTrace};
+use clop_trace::{split_shards_columnar, TrimmedTrace};
 use clop_util::bench::{quick, Runner};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -42,7 +42,7 @@ fn main() {
 
     let events = if quick() { 20_000 } else { 120_000 };
     let t = random_trace(97, events, 300);
-    let files = split_shards(&t, 8, params.affinity.w_max, params.trg.window);
+    let files = split_shards_columnar(&t, 8, params.affinity.w_max, params.trg.window);
     let nshards = files.len() as u64;
 
     // Pre-fold both versions and drain, so every *timed* send is a dedup

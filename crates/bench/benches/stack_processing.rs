@@ -2,8 +2,8 @@
 //! §II-F, the naive walk-based oracle it replaced, reuse-distance
 //! histograms, and windowed footprint curves.
 
+use clop_oracle::NaiveLruStack;
 use clop_trace::footprint::FootprintCurve;
-use clop_trace::stack::naive::NaiveLruStack;
 use clop_trace::{BlockId, LruStack, ReuseHistogram, TrimmedTrace};
 use clop_util::bench::{quick, Runner};
 

@@ -13,11 +13,13 @@
 //! The `read_container_v{1,2}` rows measure the full `read_trace` path
 //! (container CRC + payload decode + trace construction) on the same
 //! events, so ci/bench_gate.sh can ratio-guard "columnar ingest never
-//! loses to the row format" machine-independently from one run.
+//! loses to the row format" machine-independently from one run. The v1
+//! bytes come from the legacy encoder in `clop-oracle`: the library reads
+//! v1 but writes only v2.
 
 use clop_trace::columnar::{self, Columns, DEFAULT_BLOCK_EVENTS};
 use clop_trace::trace::BlockId;
-use clop_trace::{read_trace, write_trace, write_trace_columnar, Trace};
+use clop_trace::{read_trace, write_trace, Trace};
 use clop_util::bench::{quick, Runner};
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -85,10 +87,10 @@ fn main() {
 
     // Container-level ingest: same events, both payload versions.
     let trace: Trace = loopy_events(n).into_iter().collect();
-    let mut v1 = Vec::new();
-    write_trace(&mut v1, &trace).expect("write v1");
+    let ids: Vec<u32> = trace.events().iter().map(|b| b.0).collect();
+    let v1 = clop_oracle::legacy::cltc_v1(&ids);
     let mut v2 = Vec::new();
-    write_trace_columnar(&mut v2, &trace).expect("write v2");
+    write_trace(&mut v2, &trace).expect("write v2");
     r.bench_with_elements("trace/read_container_v1/loopy_4m", Some(n as u64), || {
         read_trace(&mut v1.as_slice()).expect("read v1")
     });

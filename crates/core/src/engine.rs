@@ -13,13 +13,9 @@
 //! negligible next to an interpreter run of the module.
 
 use crate::eval::{EvalConfig, ProgramRun};
-use crate::incremental::IncrementalStore;
 use crate::optimizer::{OptError, OptimizedProgram};
 use crate::pipeline::{build_pipeline, PipelineParams};
-use clop_affinity::PairThresholds;
 use clop_ir::{Layout, Module};
-use clop_trace::TrimmedTrace;
-use clop_trg::Trg;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -44,88 +40,6 @@ pub struct EngineStats {
     pub opt_hits: u64,
     /// Optimizations actually computed.
     pub opt_misses: u64,
-    /// Analysis intermediates (thresholds / TRGs) served from the cache.
-    pub analysis_hits: u64,
-    /// Analysis intermediates actually computed.
-    pub analysis_misses: u64,
-}
-
-/// A memoization cache for the expensive locality-analysis intermediates:
-/// affinity pair thresholds keyed on `(trace, w_max)` and temporal
-/// relationship graphs keyed on `(trace, window)`.
-///
-/// Distinct pipelines frequently share an intermediate — `bb-affinity`
-/// variants that differ only in hierarchy parameters reuse one threshold
-/// table, and ablation sweeps over TRG slot counts reuse one graph. Traces
-/// are keyed by a fingerprint of their event stream, so equal traces from
-/// different profiling runs also share. The worker count (`jobs`) is
-/// deliberately **not** part of any key: sharded analysis is bit-identical
-/// for every `jobs` value.
-#[derive(Default)]
-pub struct AnalysisCache {
-    thresholds: Mutex<HashMap<(u64, u32), Arc<PairThresholds>>>,
-    trgs: Mutex<HashMap<(u64, usize), Arc<Trg>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl AnalysisCache {
-    /// An empty cache.
-    pub fn new() -> AnalysisCache {
-        AnalysisCache::default()
-    }
-
-    /// The pairwise affinity thresholds for `(trace, w_max)`, memoized.
-    /// Computed (sharded over up to `jobs` workers) on first use.
-    pub fn thresholds(&self, trace: &TrimmedTrace, w_max: u32, jobs: usize) -> Arc<PairThresholds> {
-        let key = (trace_fingerprint(trace), w_max);
-        if let Some(cached) = lock(&self.thresholds).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(cached);
-        }
-        // Compute outside the lock (same policy as Engine::evaluate).
-        let t = Arc::new(PairThresholds::measure_jobs(trace, w_max, jobs));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(lock(&self.thresholds).entry(key).or_insert(t))
-    }
-
-    /// The temporal relationship graph for `(trace, window)`, memoized.
-    /// Computed (sharded over up to `jobs` workers) on first use.
-    pub fn trg(&self, trace: &TrimmedTrace, window: usize, jobs: usize) -> Arc<Trg> {
-        let key = (trace_fingerprint(trace), window);
-        if let Some(cached) = lock(&self.trgs).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(cached);
-        }
-        let g = Arc::new(Trg::build_jobs(trace, window, jobs));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(lock(&self.trgs).entry(key).or_insert(g))
-    }
-
-    /// `(hits, misses)` across both intermediate kinds.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Drop all cached intermediates (statistics are kept).
-    pub fn clear(&self) {
-        lock(&self.thresholds).clear();
-        lock(&self.trgs).clear();
-    }
-}
-
-/// Fingerprint of a trimmed trace's event stream (order-sensitive).
-fn trace_fingerprint(trace: &TrimmedTrace) -> u64 {
-    let mut h = DefaultHasher::new();
-    0x7F1Cu16.hash(&mut h);
-    trace.len().hash(&mut h);
-    for e in trace.iter() {
-        e.0.hash(&mut h);
-    }
-    h.finish()
 }
 
 /// A process-wide evaluation cache: deduplicates [`ProgramRun::evaluate`]
@@ -134,8 +48,6 @@ fn trace_fingerprint(trace: &TrimmedTrace) -> u64 {
 pub struct Engine {
     runs: Mutex<HashMap<u64, Arc<ProgramRun>>>,
     opts: Mutex<HashMap<u64, Result<Arc<OptimizedProgram>, OptError>>>,
-    analyses: AnalysisCache,
-    incremental: IncrementalStore,
     eval_hits: AtomicU64,
     eval_misses: AtomicU64,
     opt_hits: AtomicU64,
@@ -188,35 +100,18 @@ impl Engine {
         let Some(pipeline) = build_pipeline(name, params) else {
             return Err(OptError::UnknownPipeline(name.to_string()));
         };
-        let result = pipeline
-            .optimize_with_cache(module, Some(&self.analyses))
-            .map(Arc::new);
+        let result = pipeline.optimize(module).map(Arc::new);
         self.opt_misses.fetch_add(1, Ordering::Relaxed);
         lock(&self.opts).entry(key).or_insert(result).clone()
     }
 
-    /// The engine's locality-analysis intermediate cache.
-    pub fn analyses(&self) -> &AnalysisCache {
-        &self.analyses
-    }
-
-    /// The engine's per-version incremental analysis states, keyed by
-    /// `(program version, analysis parameters)`. Streamed shards fold in
-    /// here; layout queries run named pipelines against the fold.
-    pub fn incremental(&self) -> &IncrementalStore {
-        &self.incremental
-    }
-
     /// Current cache statistics.
     pub fn stats(&self) -> EngineStats {
-        let (analysis_hits, analysis_misses) = self.analyses.stats();
         EngineStats {
             eval_hits: self.eval_hits.load(Ordering::Relaxed),
             eval_misses: self.eval_misses.load(Ordering::Relaxed),
             opt_hits: self.opt_hits.load(Ordering::Relaxed),
             opt_misses: self.opt_misses.load(Ordering::Relaxed),
-            analysis_hits,
-            analysis_misses,
         }
     }
 
@@ -224,7 +119,6 @@ impl Engine {
     pub fn clear(&self) {
         lock(&self.runs).clear();
         lock(&self.opts).clear();
-        self.analyses.clear();
     }
 }
 
@@ -337,25 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn analysis_cache_shares_thresholds_and_trgs() {
-        let cache = AnalysisCache::new();
-        let t = TrimmedTrace::from_indices([0u32, 1, 2, 0, 1, 2, 3, 0]);
-        let a = cache.thresholds(&t, 8, 1);
-        let b = cache.thresholds(&t, 8, 2);
-        assert!(Arc::ptr_eq(&a, &b), "jobs must not split the key");
-        let g1 = cache.trg(&t, 4, 1);
-        let g2 = cache.trg(&t, 4, 3);
-        assert!(Arc::ptr_eq(&g1, &g2));
-        assert_eq!(cache.stats(), (2, 2));
-        // A different window parameter is a different intermediate.
-        let c = cache.thresholds(&t, 9, 1);
-        assert!(!Arc::ptr_eq(&a, &c));
-        cache.clear();
-        let d = cache.thresholds(&t, 8, 1);
-        assert!(!Arc::ptr_eq(&a, &d));
-    }
-
-    #[test]
     fn jobs_does_not_split_the_optimization_cache() {
         let m = module();
         let engine = Engine::new();
@@ -367,22 +242,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let stats = engine.stats();
         assert_eq!((stats.opt_hits, stats.opt_misses), (1, 1));
-    }
-
-    #[test]
-    fn shared_intermediates_hit_the_analysis_cache() {
-        let m = module();
-        let engine = Engine::new();
-        let params = PipelineParams::for_granularity(clop_trace::Granularity::Function);
-        engine.optimize(&m, "function-affinity", &params).unwrap();
-        // Same trace and w_max but a different w_min: a distinct
-        // optimization key, yet the threshold table is shared.
-        let mut p2 = params.clone();
-        p2.affinity.w_min = 3;
-        engine.optimize(&m, "function-affinity", &p2).unwrap();
-        let stats = engine.stats();
-        assert_eq!(stats.opt_misses, 2);
-        assert!(stats.analysis_hits >= 1, "{:?}", stats);
     }
 
     #[test]

@@ -363,7 +363,7 @@ impl IncrementalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clop_trace::shardfile::{read_shard, split_shards};
+    use clop_trace::shardfile::{read_shard, split_shards_columnar};
     use clop_trace::TrimmedTrace;
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
@@ -388,7 +388,7 @@ mod tests {
     }
 
     fn shard_files(t: &TrimmedTrace, pieces: usize, p: &AnalysisParams) -> Vec<ShardFile> {
-        split_shards(t, pieces, p.affinity.w_max, p.trg.window)
+        split_shards_columnar(t, pieces, p.affinity.w_max, p.trg.window)
             .iter()
             .map(|b| read_shard(&mut b.as_slice()).unwrap())
             .collect()

@@ -54,7 +54,7 @@ pub use baseline::{
     intra_procedural_block_order, pettis_hansen_function_order, preprocess_for_intra_reordering,
 };
 pub use bbreorder::{preprocess_for_bb_reordering, BbReorderError};
-pub use engine::{AnalysisCache, Engine, EngineStats};
+pub use engine::{Engine, EngineStats};
 pub use eval::{timed_fetch_stream, timed_fetch_stream_from, EvalConfig, ProgramRun};
 pub use incremental::{AnalysisParams, IncrementalStore, LayoutResult, VersionState};
 pub use optimizer::{OptError, OptimizedProgram};
@@ -73,7 +73,7 @@ pub use search::{exhaustive_best_function_order, random_search_function_order, S
 /// Convenient import surface.
 pub mod prelude {
     pub use crate::bbreorder::{preprocess_for_bb_reordering, BbReorderError};
-    pub use crate::engine::{AnalysisCache, Engine, EngineStats};
+    pub use crate::engine::{Engine, EngineStats};
     pub use crate::eval::{timed_fetch_stream, EvalConfig, ProgramRun};
     pub use crate::optimizer::{OptError, OptimizedProgram};
     pub use crate::pipeline::{

@@ -17,7 +17,6 @@
 //!   experiment harness all construct pipelines through it.
 
 use crate::bbreorder;
-use crate::engine::AnalysisCache;
 use crate::optimizer::{OptError, OptimizedProgram};
 use crate::profile::{Profile, ProfileConfig};
 use clop_affinity::{affinity_layout_jobs, AffinityConfig, AffinityHierarchy};
@@ -34,12 +33,6 @@ pub trait LocalityModel: Send + Sync {
     fn name(&self) -> &str;
     /// The placement sequence for the profiled units.
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId>;
-    /// Like [`sequence`](LocalityModel::sequence), but may reuse (and
-    /// populate) memoized analysis intermediates for this trace. Models
-    /// with no cacheable intermediate fall back to the plain path.
-    fn sequence_cached(&self, trace: &TrimmedTrace, _cache: &AnalysisCache) -> Vec<BlockId> {
-        self.sequence(trace)
-    }
     /// The placement sequence computed from a streamed incremental fold
     /// instead of a materialized trace. `None` when the model has no
     /// incremental path or the state was folded at different parameters;
@@ -70,13 +63,6 @@ impl LocalityModel for WWindowAffinity {
 
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
         affinity_layout_jobs(trace, self.config, self.jobs.max(1))
-    }
-
-    fn sequence_cached(&self, trace: &TrimmedTrace, cache: &AnalysisCache) -> Vec<BlockId> {
-        // The expensive intermediate (pairwise thresholds) depends only on
-        // (trace, w_max); the hierarchy build is cheap by comparison.
-        let thresholds = cache.thresholds(trace, self.config.w_max, self.jobs.max(1));
-        AffinityHierarchy::build(trace, &thresholds, self.config).layout()
     }
 
     fn sequence_incremental(
@@ -110,13 +96,6 @@ impl LocalityModel for TrgModel {
 
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
         trg_layout_jobs(trace, self.config, self.jobs.max(1))
-    }
-
-    fn sequence_cached(&self, trace: &TrimmedTrace, cache: &AnalysisCache) -> Vec<BlockId> {
-        // The expensive intermediate (the graph) depends only on
-        // (trace, window); the slot reduction is cheap by comparison.
-        let trg = cache.trg(trace, self.config.window, self.jobs.max(1));
-        clop_trg::reduce(&trg, self.config.slots, trace).sequence
     }
 
     fn sequence_incremental(
@@ -280,27 +259,13 @@ impl Pipeline {
     /// equivalent to the input (see `clop-verify`). A rejection is always
     /// a bug in a model or transform and surfaces as [`OptError::Verify`].
     pub fn optimize(&self, module: &Module) -> Result<OptimizedProgram, OptError> {
-        self.optimize_with_cache(module, None)
-    }
-
-    /// [`optimize`](Pipeline::optimize), reusing memoized analysis
-    /// intermediates when a cache is supplied (see
-    /// [`AnalysisCache`]); the result is identical either way.
-    pub fn optimize_with_cache(
-        &self,
-        module: &Module,
-        cache: Option<&AnalysisCache>,
-    ) -> Result<OptimizedProgram, OptError> {
         let prepared = self.transform.prepare(module)?;
         let profile = Profile::collect(&prepared, &self.profile);
         let trace = self.transform.trace(&profile);
         if trace.is_empty() {
             return Err(OptError::EmptyProfile);
         }
-        let hot = match cache {
-            Some(c) => self.model.sequence_cached(trace, c),
-            None => self.model.sequence(trace),
-        };
+        let hot = self.model.sequence(trace);
         let layout = self.transform.realize(&prepared, &hot)?;
         if clop_verify::verify_enabled() {
             let mut report = clop_verify::verify_module(&prepared);

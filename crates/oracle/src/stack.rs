@@ -1,18 +1,15 @@
 //! The walk-based reference LRU stack: the paper's literal §II-F structure.
 //!
-//! This is the original implementation of [`crate::stack::LruStack`] — an
+//! This is the original implementation of `clop_trace::LruStack` — an
 //! intrusive doubly-linked list over a dense node arena where every
 //! distance query walks the list from the head, O(depth) per access. It is
-//! retained verbatim as [`NaiveLruStack`] because its simplicity makes it
-//! trivially auditable: the differential test harness
+//! kept as [`NaiveLruStack`] because its simplicity makes it trivially
+//! auditable: the differential test harness
 //! (`crates/trace/tests/differential.rs`) uses it as the oracle that the
 //! Fenwick-tree engine must match bit-for-bit (distances, promotion order,
 //! bounded-window truncation, and cold-access handling).
-//!
-//! It is not used on any production path; analyses go through the O(log B)
-//! engine.
 
-use crate::trace::BlockId;
+use clop_trace::BlockId;
 
 const NIL: u32 = u32::MAX;
 
@@ -25,7 +22,7 @@ struct Node {
 }
 
 /// The walk-based LRU stack (test oracle). Same API and semantics as
-/// [`crate::stack::LruStack`], but `access` costs O(depth).
+/// `clop_trace::LruStack`, but `access` costs O(depth).
 #[derive(Clone, Debug)]
 pub struct NaiveLruStack {
     nodes: Vec<Node>,
@@ -146,17 +143,6 @@ impl NaiveLruStack {
             cur = self.nodes[cur as usize].next;
         }
         out
-    }
-
-    /// Visit the top `w` blocks without allocating.
-    pub fn for_each_top<F: FnMut(BlockId)>(&self, w: usize, mut f: F) {
-        let mut cur = self.head;
-        let mut n = 0usize;
-        while cur != NIL && n < w {
-            f(BlockId(cur));
-            cur = self.nodes[cur as usize].next;
-            n += 1;
-        }
     }
 
     /// Remove everything from the stack.

@@ -95,6 +95,7 @@ pub fn admit(bytes: &[u8], max_drop_frac: f64) -> Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clop_oracle::legacy;
     use clop_trace::shardfile::write_shard;
     use clop_trace::TrimmedTrace;
 
@@ -103,6 +104,12 @@ mod tests {
         let mut buf = Vec::new();
         write_shard(&mut buf, 0, 0, t.len(), &t).unwrap();
         buf
+    }
+
+    /// A shard with a legacy CLTC v1 payload, whose salvage drops whole
+    /// events (a v2 payload salvages whole blocks).
+    fn v1_shard_bytes(ids: &[u32]) -> Vec<u8> {
+        legacy::clsh_v1(0, 0, ids.len(), ids)
     }
 
     #[test]
@@ -132,7 +139,7 @@ mod tests {
     fn truncated_payload_respects_drop_budget() {
         // Truncating the embedded CLTC payload drops trailing events but
         // leaves the headers intact — the salvaging path.
-        let bytes = shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let bytes = v1_shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         let truncated = &bytes[..bytes.len() - 2];
         match admit(truncated, 0.0) {
             Admission::RejectSalvage { report, .. } => assert!(report.dropped > 0),
@@ -152,7 +159,7 @@ mod tests {
 
     #[test]
     fn salvaged_core_is_clamped_to_decoded_events() {
-        let bytes = shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let bytes = v1_shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         if let Admission::Accept { shard, .. } = admit(&bytes[..bytes.len() - 2], 1.0) {
             assert!(shard.core_end <= shard.trace.len());
             assert!(shard.core_start <= shard.core_end);

@@ -35,7 +35,7 @@
 use clop_serve::chaos::ChaosProxy;
 use clop_serve::session::{Session, SessionConfig};
 use clop_serve::{ServeConfig, Server};
-use clop_trace::{read_trace, split_shards, write_trace, Trace, TrimmedTrace};
+use clop_trace::{read_trace, split_shards_columnar, write_trace, Trace, TrimmedTrace};
 use clop_util::faultnet::FaultSpec;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -122,7 +122,7 @@ fn cmd_split(input: &str, outdir: &str) -> Result<(), String> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
     let trimmed = load_trimmed(input)?;
-    let files = split_shards(
+    let files = split_shards_columnar(
         &trimmed,
         pieces,
         config.params.affinity.w_max,

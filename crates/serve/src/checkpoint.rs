@@ -196,7 +196,7 @@ fn load_state(path: &Path) -> ClopResult<Option<VersionState>> {
 mod tests {
     use super::*;
     use clop_core::incremental::AnalysisParams;
-    use clop_trace::shardfile::{read_shard, split_shards};
+    use clop_trace::shardfile::{read_shard, split_shards_columnar};
     use clop_trace::TrimmedTrace;
     use clop_util::fault::seeded_corruptions;
 
@@ -218,7 +218,7 @@ mod tests {
         };
         let t = TrimmedTrace::from_indices((0..300).map(|_| (next() % 9) as u32));
         let mut state = VersionState::new(p);
-        for buf in split_shards(&t, 3, p.affinity.w_max, p.trg.window) {
+        for buf in split_shards_columnar(&t, 3, p.affinity.w_max, p.trg.window) {
             state
                 .absorb_shard(&read_shard(&mut buf.as_slice()).unwrap())
                 .unwrap();
@@ -359,7 +359,7 @@ mod tests {
         let mut newer = folded_state(3);
         let t = TrimmedTrace::from_indices([1u32, 2, 3, 4, 5, 1, 2]);
         let p = *newer.params();
-        for buf in split_shards(&t, 1, p.affinity.w_max, p.trg.window) {
+        for buf in split_shards_columnar(&t, 1, p.affinity.w_max, p.trg.window) {
             let mut sf = read_shard(&mut buf.as_slice()).unwrap();
             sf.seq += 1000; // a later shard the old checkpoint lacks
             newer.absorb_shard(&sf).unwrap();

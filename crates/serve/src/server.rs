@@ -14,7 +14,8 @@
 //!                                  | -RETRY <ms> when degraded
 //! EPOCH <version>               -> +EPOCH <epoch> <shards>
 //! STATS                         -> +STATS <k>          then k "name value" lines
-//! SYNC                          -> +SYNCED <settled>   (all enqueued shards folded)
+//! SYNC                          -> +SYNCED <settled>   (all enqueued shards folded,
+//!                                                        checkpointed and GC'd)
 //! STOP                          -> +BYE                (drain, checkpoint, shut down)
 //! ```
 //!
@@ -497,39 +498,36 @@ fn fold_durably(shared: &Arc<Shared>, version: &str, shard: &ShardFile) -> Resul
     IngestStats::bump(&shared.stats.enqueued);
     touch_ingest(shared, version);
     let arc = shared.store.state(version, shared.config.params);
-    let outcome = {
+    let (settled, outcome) = {
         let mut st = lock(&arc);
         if shared.config.fold_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.fold_delay_ms));
         }
         match st.absorb_shard(shard) {
             Ok(true) => {
-                IngestStats::bump(&shared.stats.folded);
-                if let Some(dir) = &shared.config.checkpoint_dir {
-                    let bytes = st.to_bytes();
-                    lock(&shared.state_sizes).insert(version.to_string(), bytes.len() as u64);
-                    match checkpoint::checkpoint_bytes(dir, version, &bytes) {
-                        Ok(()) => {
-                            IngestStats::bump(&shared.stats.checkpoints);
-                            Ok(())
+                let outcome = match &shared.config.checkpoint_dir {
+                    Some(dir) => {
+                        let bytes = st.to_bytes();
+                        lock(&shared.state_sizes).insert(version.to_string(), bytes.len() as u64);
+                        match checkpoint::checkpoint_bytes(dir, version, &bytes) {
+                            Ok(()) => {
+                                IngestStats::bump(&shared.stats.checkpoints);
+                                Ok(())
+                            }
+                            Err(e) => Err(format!("checkpoint failed; ack withheld: {}", e)),
                         }
-                        Err(e) => Err(format!("checkpoint failed; ack withheld: {}", e)),
                     }
-                } else {
-                    Ok(())
-                }
+                    None => Ok(()),
+                };
+                (&shared.stats.folded, outcome)
             }
-            Ok(false) => {
-                IngestStats::bump(&shared.stats.duplicates);
-                Ok(())
-            }
-            Err(e) => {
-                IngestStats::bump(&shared.stats.fold_errors);
-                Err(format!("fold: {}", e))
-            }
+            Ok(false) => (&shared.stats.duplicates, Ok(())),
+            Err(e) => (&shared.stats.fold_errors, Err(format!("fold: {}", e))),
         }
     };
     run_gc(shared, version);
+    // Settled only now, as in `fold_batch`.
+    IngestStats::bump(settled);
     outcome
 }
 
@@ -590,7 +588,10 @@ fn cmd_stats(shared: &Arc<Shared>, out: &mut TcpStream) -> std::io::Result<()> {
     out.write_all(body.as_bytes())
 }
 
-/// Wait until every enqueued shard has settled (folded or deduplicated).
+/// Wait until every enqueued shard has settled (folded, deduplicated or
+/// failed). A shard settles only after its fold's checkpoint write and GC
+/// pass, so a drained daemon has every fold on disk and every bound
+/// enforced.
 fn drain(shared: &Arc<Shared>) -> bool {
     let start = Instant::now();
     let timeout = Duration::from_millis(shared.config.sync_timeout_ms);
@@ -669,7 +670,9 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 
 /// Absorb one drained batch, grouped by version so each version's state
 /// lock is taken once per batch. Every folded version runs a GC pass
-/// afterwards with itself as the protected active version.
+/// afterwards with itself as the protected active version. A group's
+/// shards are counted as settled only after its checkpoint write and GC
+/// pass: `SYNC` waits on those counters.
 fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     let mut groups: Vec<(String, Vec<ShardFile>)> = Vec::new();
     for job in batch {
@@ -682,6 +685,7 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
         let arc = shared.store.state(&version, shared.config.params);
         touch_ingest(shared, &version);
         let mut snapshot: Option<Vec<u8>> = None;
+        let (mut folded, mut duplicates, mut fold_errors) = (0u64, 0u64, 0u64);
         {
             let mut st = lock(&arc);
             for shard in &shards {
@@ -690,7 +694,7 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                 }
                 match st.absorb_shard(shard) {
                     Ok(true) => {
-                        IngestStats::bump(&shared.stats.folded);
+                        folded += 1;
                         if shared.config.checkpoint_dir.is_some() {
                             let mut dirty = lock(&shared.dirty);
                             let n = dirty.entry(version.clone()).or_insert(0);
@@ -702,12 +706,12 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                             }
                         }
                     }
-                    Ok(false) => IngestStats::bump(&shared.stats.duplicates),
+                    Ok(false) => duplicates += 1,
                     Err(e) => {
                         // Unreachable when deltas are measured at this
                         // state's own parameters; counted so the SYNC
                         // barrier still settles.
-                        IngestStats::bump(&shared.stats.fold_errors);
+                        fold_errors += 1;
                         eprintln!("clop-serve: fold of shard into {} failed: {}", version, e);
                     }
                 }
@@ -729,6 +733,9 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             }
         }
         run_gc(shared, &version);
+        IngestStats::add(&shared.stats.folded, folded);
+        IngestStats::add(&shared.stats.duplicates, duplicates);
+        IngestStats::add(&shared.stats.fold_errors, fold_errors);
     }
 }
 
@@ -880,7 +887,7 @@ mod tests {
     use crate::session::{backoff_delay, SessionConfig};
     use clop_core::build_pipeline;
     use clop_core::incremental::AnalysisParams;
-    use clop_trace::{split_shards, split_shards_columnar, TrimmedTrace};
+    use clop_trace::{read_shard, split_shards_columnar, TrimmedTrace};
     use clop_util::Rng;
     use std::fs;
 
@@ -1006,7 +1013,7 @@ mod tests {
         let server = Server::start(config).unwrap();
         let addr = server.addr();
         let t = random_trace(21, 1200, 14);
-        let files = split_shards(&t, 6, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
 
         let mut c = Client::connect(addr);
         assert_eq!(c.command("PING"), "+PONG");
@@ -1047,9 +1054,16 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(23, 1200, 14);
-        let row = split_shards(&t, 6, params.affinity.w_max, params.trg.window);
         let col = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
-        assert_eq!(row.len(), col.len());
+        // The same shards with a legacy CLTC v1 (row) payload.
+        let row: Vec<Vec<u8>> = col
+            .iter()
+            .map(|f| {
+                let sf = read_shard(&mut f.as_slice()).unwrap();
+                let ids: Vec<u32> = sf.trace.iter().map(|b| b.0).collect();
+                clop_oracle::legacy::clsh_v1(sf.seq, sf.core_start, sf.core_end, &ids)
+            })
+            .collect();
 
         let mut c = Client::connect(server.addr());
         for (i, (r, cshard)) in row.iter().zip(&col).enumerate() {
@@ -1083,7 +1097,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(22, 900, 11);
-        let files = split_shards(&t, 6, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         for f in &files {
             assert!(c.send_shard_retrying("v", f).starts_with("+OK"));
@@ -1110,7 +1124,7 @@ mod tests {
         })
         .unwrap();
         let t = random_trace(23, 400, 9);
-        let files = split_shards(&t, 2, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 2, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         assert!(c
             .send_shard("v", b"definitely not a shard")
@@ -1135,7 +1149,7 @@ mod tests {
         fs::create_dir_all(watch.join("appv")).unwrap();
 
         let t = random_trace(24, 800, 10);
-        let files = split_shards(&t, 4, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 4, params.affinity.w_max, params.trg.window);
         let config = ServeConfig {
             params,
             watch_dir: Some(watch.clone()),
@@ -1200,7 +1214,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(31, 1400, 12);
-        let files = split_shards(&t, 7, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 7, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         assert_eq!(c.command("HEALTH"), "+HEALTH ok 0 8");
         // Flood the queue: one slow worker, seven shards.
@@ -1244,7 +1258,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(32, 600, 10);
-        let files = split_shards(&t, 3, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 3, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         for f in &files {
             assert!(c.send_shard("dv", f).starts_with("+OK"));
@@ -1286,7 +1300,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(33, 500, 9);
-        let files = split_shards(&t, 2, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 2, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         for version in ["va", "vb", "vc"] {
             for f in &files {
@@ -1315,6 +1329,62 @@ mod tests {
     }
 
     #[test]
+    fn sync_answers_after_checkpoint_and_gc() {
+        // Each SYNC drains the queue before the next shard is sent, so
+        // every batch holds one shard and, at `checkpoint_every: 1`, every
+        // fold takes one checkpoint. `+SYNCED` must find it on disk, and
+        // the version two ingests back already evicted.
+        let params = AnalysisParams::default();
+        let ckpt = std::env::temp_dir().join(format!("clop-serve-sync-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&ckpt);
+        let config = ServeConfig {
+            params,
+            workers: 2,
+            max_versions: 2,
+            checkpoint_dir: Some(ckpt.clone()),
+            checkpoint_every: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let t = random_trace(35, 300, 9);
+        let files = split_shards_columnar(&t, 2, params.affinity.w_max, params.trg.window);
+        let versions: Vec<String> = (0..6).map(|i| format!("s{}", i)).collect();
+        let mut c = Client::connect(server.addr());
+        let mut folds = 0u64;
+        for (i, version) in versions.iter().enumerate() {
+            for f in &files {
+                assert!(c.send_shard_retrying(version, f).starts_with("+OK"));
+                assert!(c.command("SYNC").starts_with("+SYNCED"));
+                folds += 1;
+                let stats = server.stats();
+                assert!(
+                    checkpoint::state_path(&ckpt, version).exists(),
+                    "{} synced without its checkpoint",
+                    version
+                );
+                assert_eq!(
+                    stats.checkpoints.load(Ordering::Relaxed),
+                    folds,
+                    "{}",
+                    version
+                );
+                assert_eq!(
+                    stats.evicted_versions.load(Ordering::Relaxed),
+                    i.saturating_sub(1) as u64,
+                    "{}",
+                    version
+                );
+                if i >= 2 {
+                    assert!(!checkpoint::state_path(&ckpt, &versions[i - 2]).exists());
+                }
+            }
+        }
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+        fs::remove_dir_all(&ckpt).unwrap();
+    }
+
+    #[test]
     fn byte_bound_gc_keeps_total_state_under_the_cap() {
         let params = AnalysisParams::default();
         let config = ServeConfig {
@@ -1325,7 +1395,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(34, 400, 8);
-        let files = split_shards(&t, 2, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 2, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         for version in ["w1", "w2", "w3"] {
             for f in &files {
@@ -1357,7 +1427,7 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(35, 300, 7);
-        let files = split_shards(&t, 1, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 1, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
         assert_eq!(c.command("SYNC"), "-ERR sync timed out");
@@ -1400,7 +1470,7 @@ mod tests {
         };
         let server = Server::start(config.clone()).unwrap();
         let t = random_trace(36, 700, 11);
-        let files = split_shards(&t, 4, params.affinity.w_max, params.trg.window);
+        let files = split_shards_columnar(&t, 4, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         for f in &files {
             assert!(c.send_shard_retrying("rv", f).starts_with("+OK"));

@@ -9,7 +9,7 @@ use clop_core::incremental::AnalysisParams;
 use clop_serve::chaos::ChaosProxy;
 use clop_serve::session::{Session, SessionConfig};
 use clop_serve::{ServeConfig, Server};
-use clop_trace::{split_shards, TrimmedTrace};
+use clop_trace::{split_shards_columnar, TrimmedTrace};
 use clop_util::faultnet::FaultSpec;
 
 fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
@@ -65,7 +65,7 @@ fn stream_through_chaos(spec: FaultSpec, proxy_seed: u64) -> (u64, u64) {
     let proxy = ChaosProxy::start(server.addr(), proxy_seed, spec).unwrap();
 
     let t = random_trace(proxy_seed | 1, 1500, 17);
-    let files = split_shards(&t, 8, params.affinity.w_max, params.trg.window);
+    let files = split_shards_columnar(&t, 8, params.affinity.w_max, params.trg.window);
     let mut faulty = chaos_session(proxy.addr(), proxy_seed ^ 0xA5);
     for f in &files {
         faulty.send_shard("cv", f).unwrap();

@@ -188,7 +188,7 @@ fn corrupted_shard_payloads_never_panic_the_daemon() {
     // answer (+OK for salvageable, -ERR otherwise) on an intact stream.
     let t = clop_trace::TrimmedTrace::from_indices((0..600u32).map(|i| i * 7 % 13));
     let params = clop_core::incremental::AnalysisParams::default();
-    let files = clop_trace::split_shards(&t, 2, params.affinity.w_max, params.trg.window);
+    let files = clop_trace::split_shards_columnar(&t, 2, params.affinity.w_max, params.trg.window);
     for c in seeded_corruptions(0xC0DE, &files[0], 60) {
         let mut frame = format!("SHARD v {}\n", c.data.len()).into_bytes();
         frame.extend_from_slice(&c.data);

@@ -2,22 +2,21 @@
 //!
 //! ```text
 //! clop-trace pack <in.cltc> <out.cltc>     re-encode as columnar (CLTC v2)
-//! clop-trace unpack <in.cltc> <out.cltc>   re-encode as row/varint (CLTC v1)
 //! clop-trace info <in.cltc>                print container version + event count
 //! ```
 //!
-//! `pack` and `unpack` accept any readable container version on input
-//! (including the v0 legacy "CLT1" format), so the same two commands
-//! migrate a shard archive in either direction during a rollout.
+//! `pack` accepts any readable container version on input (including the
+//! v0 legacy "CLT1" format), so it migrates an archive of older files to
+//! the only format the library writes.
 //!
-//! Both converters finish with a built-in round-trip check before the
-//! output is atomically installed: the freshly encoded container is
-//! decoded again and (a) its event sequence must be identical to the
-//! input's, and (b) re-encoding that decoded trace must reproduce the
-//! output byte for byte. A conversion that cannot prove both properties
-//! exits nonzero and leaves no output file behind.
+//! `pack` finishes with a built-in round-trip check before the output is
+//! atomically installed: the freshly encoded container is decoded again
+//! and (a) its event sequence must be identical to the input's, and (b)
+//! re-encoding that decoded trace must reproduce the output byte for
+//! byte. A conversion that cannot prove both properties exits nonzero and
+//! leaves no output file behind.
 
-use clop_trace::{read_trace, write_trace, write_trace_columnar, Trace};
+use clop_trace::{read_trace, write_trace, Trace};
 use std::io::Write;
 use std::path::Path;
 
@@ -32,14 +31,9 @@ fn main() {
 
 fn run(args: &[&str]) -> Result<(), String> {
     match args {
-        ["pack", input, output] => cmd_convert(input, output, write_trace_columnar, "columnar"),
-        ["unpack", input, output] => cmd_convert(input, output, write_trace, "row"),
+        ["pack", input, output] => cmd_pack(input, output),
         ["info", input] => cmd_info(input),
-        _ => Err(concat!(
-            "usage: clop-trace pack <in.cltc> <out.cltc> | ",
-            "unpack <in.cltc> <out.cltc> | info <in.cltc>"
-        )
-        .to_string()),
+        _ => Err("usage: clop-trace pack <in.cltc> <out.cltc> | info <in.cltc>".to_string()),
     }
 }
 
@@ -49,12 +43,10 @@ fn load(input: &str) -> Result<(Trace, Vec<u8>), String> {
     Ok((trace, bytes))
 }
 
-type Encoder = fn(&mut Vec<u8>, &Trace) -> std::io::Result<()>;
-
-fn cmd_convert(input: &str, output: &str, encode: Encoder, kind: &str) -> Result<(), String> {
+fn cmd_pack(input: &str, output: &str) -> Result<(), String> {
     let (trace, in_bytes) = load(input)?;
     let mut out = Vec::new();
-    encode(&mut out, &trace).map_err(|e| e.to_string())?;
+    write_trace(&mut out, &trace).map_err(|e| e.to_string())?;
 
     // Round-trip check: the output must decode to the exact input event
     // sequence, and re-encoding the decoded trace must be byte-identical.
@@ -68,7 +60,7 @@ fn cmd_convert(input: &str, output: &str, encode: Encoder, kind: &str) -> Result
         ));
     }
     let mut again = Vec::new();
-    encode(&mut again, &back).map_err(|e| e.to_string())?;
+    write_trace(&mut again, &back).map_err(|e| e.to_string())?;
     if again != out {
         return Err("round-trip re-encode is not byte-identical".to_string());
     }
@@ -77,10 +69,9 @@ fn cmd_convert(input: &str, output: &str, encode: Encoder, kind: &str) -> Result
     let stdout = std::io::stdout();
     writeln!(
         stdout.lock(),
-        "{} -> {} ({}): {} events, {} -> {} bytes",
+        "{} -> {} (columnar): {} events, {} -> {} bytes",
         input,
         output,
-        kind,
         trace.len(),
         in_bytes.len(),
         out.len()
@@ -112,8 +103,9 @@ fn cmd_info(input: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clop_oracle::legacy;
 
-    fn sample_trace(len: usize, blocks: u64) -> Trace {
+    fn sample_ids(len: usize, blocks: u64) -> Vec<u32> {
         let mut state = 0x5EED_u64 | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -121,46 +113,36 @@ mod tests {
             state ^= state << 17;
             state
         };
-        Trace::from_indices((0..len).map(|_| (next() % blocks) as u32))
+        (0..len).map(|_| (next() % blocks) as u32).collect()
     }
 
     #[test]
-    fn pack_then_unpack_restores_row_bytes() {
+    fn pack_rewrites_a_legacy_v1_file_as_v2() {
         let dir = std::env::temp_dir().join(format!("clop-trace-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let row = dir.join("row.cltc");
         let col = dir.join("col.cltc");
-        let back = dir.join("back.cltc");
 
-        let t = sample_trace(9_000, 257);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        std::fs::write(&row, &buf).unwrap();
-
+        let ids = sample_ids(9_000, 257);
+        std::fs::write(&row, legacy::cltc_v1(&ids)).unwrap();
         run(&["pack", row.to_str().unwrap(), col.to_str().unwrap()]).unwrap();
-        run(&["unpack", col.to_str().unwrap(), back.to_str().unwrap()]).unwrap();
 
         let col_bytes = std::fs::read(&col).unwrap();
         assert_eq!(&col_bytes[..4], b"CLTC");
         assert_eq!(col_bytes[4], 2, "pack must emit a v2 container");
-        assert_eq!(
-            std::fs::read(&back).unwrap(),
-            buf,
-            "unpack(pack(x)) must restore the row container byte for byte"
-        );
+        let back = read_trace(&mut col_bytes.as_slice()).unwrap();
+        assert_eq!(back, Trace::from_indices(ids), "pack must keep every event");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn convert_refuses_damaged_input_and_writes_nothing() {
+    fn pack_refuses_damaged_input_and_writes_nothing() {
         let dir = std::env::temp_dir().join(format!("clop-trace-cli-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let row = dir.join("row.cltc");
         let col = dir.join("col.cltc");
 
-        let t = sample_trace(500, 31);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let mut buf = legacy::cltc_v1(&sample_ids(500, 31));
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         std::fs::write(&row, &buf).unwrap();
@@ -173,5 +155,6 @@ mod tests {
     #[test]
     fn usage_error_on_bad_args() {
         assert!(run(&["frobnicate"]).unwrap_err().contains("usage"));
+        assert!(run(&["unpack", "a", "b"]).unwrap_err().contains("usage"));
     }
 }

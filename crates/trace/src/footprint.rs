@@ -6,68 +6,14 @@
 //! of a code block is approximated by 1, so a footprint is the number of
 //! distinct blocks in the closed window.
 //!
-//! This module also provides the all-window *average* footprint curve
-//! `fp(w)` — the average number of distinct blocks accessed over windows of
-//! length `w` — which feeds the footprint-composition miss model (Eqs 1–2)
-//! in `clop-cachesim`.
+//! This module provides the all-window *average* footprint curve `fp(w)` —
+//! the average number of distinct blocks accessed over windows of length
+//! `w` — which feeds the footprint-composition miss model (Eqs 1–2) in
+//! `clop-cachesim`. The single-window `fp<a,b>` of the definition is a test
+//! oracle (`clop_oracle::footprint_between`).
 
-use crate::trace::{BlockId, TrimmedTrace};
+use crate::trace::TrimmedTrace;
 use clop_util::pool::{default_jobs, parallel_map};
-
-/// The footprint `fp<a,b>` of the closed window between positions `from` and
-/// `to` (inclusive): the number of distinct blocks occurring in it.
-///
-/// Positions may be given in either order. Panics if a position is out of
-/// bounds.
-pub fn footprint_between(trace: &TrimmedTrace, from: usize, to: usize) -> usize {
-    let (lo, hi) = if from <= to { (from, to) } else { (to, from) };
-    assert!(hi < trace.len(), "window endpoint out of bounds");
-    let mut seen: Vec<BlockId> = trace.events()[lo..=hi].to_vec();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len()
-}
-
-/// The footprint `fp<a,b>` between the *closest* pair of occurrences of two
-/// blocks, or `None` if either block never occurs.
-///
-/// The w-window affinity definition asks, for each occurrence of `x`,
-/// whether *some* occurrence of `y` lies within a footprint-`w` window; this
-/// helper returns the minimum such footprint over all pairs, which is what a
-/// single query usually wants.
-pub fn min_footprint_between_blocks(trace: &TrimmedTrace, x: BlockId, y: BlockId) -> Option<usize> {
-    let xs = trace.occurrences(x);
-    let ys = trace.occurrences(y);
-    if xs.is_empty() || ys.is_empty() {
-        return None;
-    }
-    let mut best = usize::MAX;
-    for &a in &xs {
-        for &b in &ys {
-            best = best.min(footprint_between(trace, a, b));
-        }
-    }
-    Some(best)
-}
-
-/// For one occurrence position `pos` of a block, the minimum footprint to any
-/// occurrence of `other`, or `None` if `other` never occurs.
-///
-/// This is the per-occurrence quantifier of Definition 3: block `x` has
-/// w-window affinity with `y` iff this value is `<= w` for *every*
-/// occurrence position of `x` (and vice versa).
-pub fn min_footprint_from_position(
-    trace: &TrimmedTrace,
-    pos: usize,
-    other: BlockId,
-) -> Option<usize> {
-    // `min()` on an empty occurrence list is the `None` case.
-    trace
-        .occurrences(other)
-        .iter()
-        .map(|&o| footprint_between(trace, pos, o))
-        .min()
-}
 
 /// The average-footprint curve of a trimmed trace.
 ///
@@ -327,17 +273,6 @@ impl FootprintCurve {
 mod tests {
     use super::*;
 
-    fn b(i: u32) -> BlockId {
-        BlockId(i)
-    }
-
-    /// Paper §II-B example: in trace B1 B3 B2 B3 B4, fp<B1,B2> = 3.
-    #[test]
-    fn paper_footprint_example() {
-        let t = TrimmedTrace::from_indices([1, 3, 2, 3, 4]);
-        assert_eq!(min_footprint_between_blocks(&t, b(1), b(2)), Some(3));
-    }
-
     #[test]
     fn synthetic_anchor_curve_interpolates_and_inverts() {
         let c = FootprintCurve::from_anchors(&[(4, 8.0), (16, 8.0), (64, 32.0)], 128, 40);
@@ -362,35 +297,6 @@ mod tests {
         assert!(c.at(1) >= 1.0);
         let c = FootprintCurve::from_anchors(&[(1, 3.0)], 0, 9);
         assert_eq!(c.max_window(), 0);
-    }
-
-    #[test]
-    fn footprint_between_includes_endpoints() {
-        let t = TrimmedTrace::from_indices([1, 2, 3]);
-        assert_eq!(footprint_between(&t, 0, 2), 3);
-        assert_eq!(footprint_between(&t, 0, 0), 1);
-        assert_eq!(footprint_between(&t, 2, 0), 3); // order-insensitive
-    }
-
-    #[test]
-    fn footprint_counts_distinct_not_length() {
-        let t = TrimmedTrace::from_indices([1, 2, 1, 2, 1]);
-        assert_eq!(footprint_between(&t, 0, 4), 2);
-    }
-
-    #[test]
-    fn min_footprint_missing_block_is_none() {
-        let t = TrimmedTrace::from_indices([1, 2]);
-        assert_eq!(min_footprint_between_blocks(&t, b(1), b(9)), None);
-        assert_eq!(min_footprint_from_position(&t, 0, b(9)), None);
-    }
-
-    #[test]
-    fn min_footprint_from_position_picks_nearest() {
-        // B5 occurs once at pos 6; from B2's occurrence at pos 4 the window
-        // [4,6] holds {B2,B3,B5} = 3.
-        let t = TrimmedTrace::from_indices([1, 4, 2, 4, 2, 3, 5, 1, 4]);
-        assert_eq!(min_footprint_from_position(&t, 4, b(5)), Some(3));
     }
 
     #[test]

@@ -4,24 +4,32 @@
 //! basic blocks in a file" plus "a mapping file to assign each basic block
 //! or function an index" (§II-F). This module provides both artifacts:
 //!
-//! * a compact varint binary trace format (gap-friendly: ids are
-//!   delta-encoded against the previous event, which compresses the tight
-//!   loops that dominate real traces),
+//! * the versioned CLTC trace container,
 //! * a line-oriented text mapping format (`<index> <name>`).
 //!
-//! # The versioned trace container (v1)
+//! # The versioned trace container
 //!
 //! Profile files live on disk between the instrumentation run and the
 //! analysis run, so bit-rot and torn writes are routine inputs, not
-//! exceptional ones. The current container makes both *detectable*:
+//! exceptional ones. The container makes both *detectable*:
 //!
 //! ```text
 //! magic    "CLTC"        4 bytes
-//! version  u8            currently 1; readers reject anything newer
+//! version  u8            1 or 2; readers reject anything newer
 //! paylen   varint        payload size in bytes
 //! crc32    u32 LE        IEEE CRC-32 of the payload bytes
-//! payload  count varint, then zigzag-varint deltas
+//! payload                version 2: the columnar blocks of [`crate::columnar`]
+//!                        version 1: count varint, then zigzag-varint deltas
 //! ```
+//!
+//! **Version 2 is the only format written.** [`write_trace`],
+//! [`write_trimmed`] and the CLSH shard writer all emit the columnar
+//! payload: independently decodable delta blocks with per-block CRCs.
+//! Versions 0 and 1 are **read-only**: every reader still accepts them, so
+//! existing files stay usable (`clop-trace pack` rewrites them as v2).
+//! Version 1 carries the row payload above. Version 0 (magic `CLT1`) is
+//! the original format: the row payload with no version, length or
+//! checksum.
 //!
 //! Every decode failure is a structured [`ClopError::TraceDecode`] with
 //! the byte offset where decoding stopped. The decoder hardens against
@@ -30,23 +38,14 @@
 //! header claiming 2^60 events fails with an error after reading at most
 //! one byte per claimed event — memory use is always proportional to the
 //! input actually supplied. CRC-32 detects all single-bit errors, so any
-//! seeded bit-flip in a v1 file surfaces as a checksum or decode error.
+//! seeded bit-flip in a v1 or v2 file surfaces as a checksum or decode
+//! error.
 //!
-//! Files written by the original format (magic `CLT1`, no version, no
-//! checksum) remain readable through a v0 fallback path.
-//!
-//! Version 2 keeps the container framing unchanged and replaces the
-//! payload with the columnar block layout of [`crate::columnar`]:
-//! independently decodable blocks with per-block CRCs, written by
-//! [`write_trace_columnar`] and read transparently by every v1 entry
-//! point (including the CLSH shard path, which embeds a whole container).
-//! Salvage on a v2 payload works at block granularity — the longest
-//! CRC-clean block prefix survives instead of the longest event prefix.
-//!
-//! [`read_trace_repaired`] additionally supports *salvage*: it keeps the
-//! longest cleanly decodable event prefix of a damaged payload and
-//! reports what was dropped, for pipelines that prefer a partial profile
-//! over none.
+//! [`read_trace_repaired`] additionally supports *salvage* for pipelines
+//! that prefer a partial profile over none: it keeps the longest cleanly
+//! decodable prefix of a damaged payload and reports what was dropped. On
+//! a v2 payload the prefix is made of whole CRC-clean blocks; on a v0/v1
+//! payload it is made of events.
 
 use crate::mapping::BlockMap;
 use crate::trace::{BlockId, Trace, TrimmedTrace};
@@ -60,11 +59,11 @@ const MAGIC: &[u8; 4] = b"CLTC";
 /// Magic bytes of the legacy (v0) format: count + deltas, no checksum.
 const MAGIC_V0: &[u8; 4] = b"CLT1";
 
-/// Container format version written by [`write_trace`].
-const FORMAT_VERSION: u8 = 1;
+/// Container version carrying the row payload (read-only).
+const VERSION_ROW: u8 = 1;
 
 /// Container version carrying a columnar payload ([`crate::columnar`]),
-/// written by [`write_trace_columnar`].
+/// the only version written.
 const VERSION_COLUMNAR: u8 = 2;
 
 /// Encode an unsigned LEB128 varint.
@@ -185,39 +184,6 @@ impl<'a, R: Read> Decoder<'a, R> {
     }
 }
 
-/// Write a trace in the versioned container: magic, version, payload
-/// length, CRC-32, then the delta-encoded payload.
-pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    let payload = encode_payload(trace);
-    w.write_all(MAGIC)?;
-    w.write_all(&[FORMAT_VERSION])?;
-    write_varint(w, payload.len() as u64)?;
-    w.write_all(&clop_util::crc32(&payload).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
-/// The payload section: event count, then zigzag deltas.
-fn encode_payload(trace: &Trace) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(trace.len() + 8);
-    // Writing to a Vec cannot fail.
-    let _ = write_varint(&mut payload, trace.len() as u64);
-    let mut prev = 0i64;
-    for &e in trace.events() {
-        let cur = e.0 as i64;
-        let _ = write_varint(&mut payload, zigzag(cur - prev));
-        prev = cur;
-    }
-    payload
-}
-
-/// Write a trace in the legacy v0 format (magic `CLT1`, no checksum).
-/// Exists so the v0 fallback path stays exercised by tests and tools that
-/// need to produce old-format files.
-pub fn write_trace_v0<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    w.write_all(MAGIC_V0)?;
-    w.write_all(&encode_payload(trace))
-}
-
 /// Decode up to `n` delta-encoded events. In strict mode a decode failure
 /// aborts; in repair mode it ends the trace at the last good event. The
 /// trace is grown incrementally — the declared count is never trusted for
@@ -285,7 +251,7 @@ fn read_header<R: Read>(d: &mut Decoder<'_, R>) -> ClopResult<Header> {
         )));
     }
     let version = d.read_byte("format version")?;
-    if version != FORMAT_VERSION && version != VERSION_COLUMNAR {
+    if version != VERSION_ROW && version != VERSION_COLUMNAR {
         return Err(ClopError::trace_format(format!(
             "unsupported trace format version {} (this build reads up to {})",
             version, VERSION_COLUMNAR
@@ -330,8 +296,8 @@ fn read_payload<R: Read>(
     }
 }
 
-/// Read a trace written by [`write_trace`] (or, via the v0 fallback, by
-/// the legacy format). Any corruption — truncation, bit-rot, hostile
+/// Read a trace written by [`write_trace`], or a legacy v0/v1 file. Any
+/// corruption — truncation, bit-rot, hostile
 /// varints or counts — yields a structured error, never a panic, and
 /// memory use is bounded by the input actually read.
 pub fn read_trace<R: Read>(r: &mut R) -> ClopResult<Trace> {
@@ -504,12 +470,10 @@ pub fn read_trace_repaired<R: Read>(r: &mut R) -> ClopResult<(Trace, RepairRepor
     ))
 }
 
-/// Write a trace in the columnar container (version 2): same framing as
-/// [`write_trace`], payload laid out by [`crate::columnar`]. Readers added
-/// in the same release ([`read_trace`], [`read_trace_repaired`], the CLSH
-/// shard path) accept both versions; v1 stays the default written format
-/// so older readers keep working.
-pub fn write_trace_columnar<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
+/// Write a trace in the container with a columnar payload (version 2):
+/// magic, version, payload length, CRC-32, then the blocks laid out by
+/// [`crate::columnar`].
+pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     let payload = crate::columnar::encode(
         trace.events(),
         crate::columnar::Columns::default(),
@@ -523,19 +487,10 @@ pub fn write_trace_columnar<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()
     w.write_all(&payload)
 }
 
-/// [`write_trimmed`] in the columnar container.
-pub fn write_trimmed_columnar<W: Write>(w: &mut W, trace: &TrimmedTrace) -> io::Result<()> {
-    let t: Trace = trace.iter().collect();
-    write_trace_columnar(w, &t)
-}
-
 /// Convenience: serialize a trimmed trace (stored as a plain trace; the
 /// trimming invariant is re-established on read).
 pub fn write_trimmed<W: Write>(w: &mut W, trace: &TrimmedTrace) -> io::Result<()> {
-    let mut t = Trace::new();
-    for e in trace.iter() {
-        t.push(e);
-    }
+    let t: Trace = trace.iter().collect();
     write_trace(w, &t)
 }
 
@@ -583,6 +538,17 @@ pub fn read_mapping<R: BufRead>(r: &mut R) -> ClopResult<BlockMap> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clop_oracle::legacy;
+
+    fn ids(t: &Trace) -> Vec<u32> {
+        t.events().iter().map(|b| b.0).collect()
+    }
+
+    fn v2(t: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, t).unwrap();
+        buf
+    }
 
     #[test]
     fn varint_round_trip() {
@@ -603,40 +569,49 @@ mod tests {
     }
 
     #[test]
+    fn writers_emit_version_2() {
+        let t = Trace::from_indices([5, 5, 9, 0, 1_000_000, 3, 3, 3]);
+        let buf = v2(&t);
+        assert_eq!((&buf[..4], buf[4]), (&MAGIC[..], VERSION_COLUMNAR));
+        let mut trimmed = Vec::new();
+        write_trimmed(&mut trimmed, &t.trim()).unwrap();
+        assert_eq!((&trimmed[..4], trimmed[4]), (&MAGIC[..], VERSION_COLUMNAR));
+    }
+
+    #[test]
     fn trace_round_trip() {
         let t = Trace::from_indices([5, 5, 9, 0, 1_000_000, 3, 3, 3]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
+        let back = read_trace(&mut v2(&t).as_slice()).unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn empty_trace_round_trip() {
         let t = Trace::new();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let buf = v2(&t);
         assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), t);
-        // magic + version + paylen varint + crc + one payload varint
-        assert_eq!(buf.len(), 11);
+        // magic + version + paylen varint + crc + 16-byte columnar header
+        assert_eq!(buf.len(), 26);
     }
 
     #[test]
-    fn legacy_v0_files_still_read() {
+    fn legacy_files_still_read() {
         let t = Trace::from_indices([5, 5, 9, 0, 1_000_000, 3, 3, 3]);
-        let mut buf = Vec::new();
-        write_trace_v0(&mut buf, &t).unwrap();
-        assert_eq!(&buf[..4], MAGIC_V0);
-        assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), t);
+        let v0 = legacy::cltc_v0(&ids(&t));
+        assert_eq!(&v0[..4], MAGIC_V0);
+        assert_eq!(read_trace(&mut v0.as_slice()).unwrap(), t);
+        let v1 = legacy::cltc_v1(&ids(&t));
+        assert_eq!(v1[4], VERSION_ROW);
+        assert_eq!(read_trace(&mut v1.as_slice()).unwrap(), t);
     }
 
     #[test]
     fn tight_loops_compress_well() {
-        // Alternating pair: deltas are ±1 → one byte each.
+        // Alternating pair: deltas are ±1 → one byte each, plus 26 bytes
+        // of container and payload header and one 16-byte block entry.
         let t = Trace::from_indices((0..1000).map(|i| 100 + (i % 2)));
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        assert!(buf.len() < 1020, "compressed size {}", buf.len());
+        let buf = v2(&t);
+        assert!(buf.len() < 1050, "compressed size {}", buf.len());
     }
 
     #[test]
@@ -649,9 +624,7 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_version() {
-        let t = Trace::from_indices([1, 2, 3]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let mut buf = v2(&Trace::from_indices([1, 2, 3]));
         buf[4] = 9; // future version
         let err = read_trace(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("version 9"), "{err}");
@@ -660,24 +633,23 @@ mod tests {
     #[test]
     fn rejects_truncation_at_every_boundary() {
         let t = Trace::from_indices([1, 2, 3, 1_000_000]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        for k in 0..buf.len() {
-            let err = read_trace(&mut &buf[..k]).unwrap_err();
-            assert!(
-                matches!(err, ClopError::TraceDecode { .. } | ClopError::Io { .. }),
-                "prefix {}: {}",
-                k,
-                err
-            );
+        for buf in [legacy::cltc_v1(&ids(&t)), v2(&t)] {
+            for k in 0..buf.len() {
+                let err = read_trace(&mut &buf[..k]).unwrap_err();
+                assert!(
+                    matches!(err, ClopError::TraceDecode { .. } | ClopError::Io { .. }),
+                    "v{} prefix {}: {}",
+                    buf[4],
+                    k,
+                    err
+                );
+            }
         }
     }
 
     #[test]
     fn rejects_every_single_bit_flip() {
-        let t = Trace::from_indices([7, 3, 3, 900, 7]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let buf = legacy::cltc_v1(&[7, 3, 3, 900, 7]);
         for byte in 0..buf.len() {
             for bit in 0..8 {
                 let mut bad = buf.clone();
@@ -698,7 +670,7 @@ mod tests {
         // on the count check, not attempt to decode (or allocate).
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.push(FORMAT_VERSION);
+        buf.push(VERSION_ROW);
         let mut payload = Vec::new();
         write_varint(&mut payload, 1u64 << 60).unwrap();
         write_varint(&mut buf, payload.len() as u64).unwrap();
@@ -721,10 +693,9 @@ mod tests {
     }
 
     #[test]
-    fn repaired_read_salvages_prefix() {
+    fn repaired_read_salvages_event_prefix_of_v1() {
         let t = Trace::from_indices([4, 9, 2, 2, 7, 100, 3]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let mut buf = legacy::cltc_v1(&ids(&t));
         // Chop off the last two payload bytes: header intact, payload torn.
         buf.truncate(buf.len() - 2);
         let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
@@ -739,20 +710,18 @@ mod tests {
     #[test]
     fn repaired_read_of_clean_file_is_clean() {
         let t = Trace::from_indices([1, 5, 1]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
-        assert_eq!(salvaged, t);
-        assert!(report.is_clean());
-        assert_eq!(report.crc_ok, Some(true));
-        assert_eq!(report.dropped, 0);
+        for buf in [legacy::cltc_v1(&ids(&t)), v2(&t)] {
+            let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
+            assert_eq!(salvaged, t);
+            assert!(report.is_clean());
+            assert_eq!(report.crc_ok, Some(true));
+            assert_eq!(report.dropped, 0);
+        }
     }
 
     #[test]
-    fn repaired_read_flags_crc_damage() {
-        let t = Trace::from_indices([1, 5, 1, 9]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+    fn repaired_read_flags_v1_crc_damage() {
+        let mut buf = legacy::cltc_v1(&[1, 5, 1, 9]);
         let last = buf.len() - 1;
         buf[last] ^= 0x01; // flip a payload bit that still decodes
         let (_, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
@@ -763,9 +732,7 @@ mod tests {
     fn columnar_container_round_trip() {
         for len in [0usize, 1, 9000] {
             let t = Trace::from_indices((0..len as u32).map(|i| i % 1111));
-            let mut buf = Vec::new();
-            write_trace_columnar(&mut buf, &t).unwrap();
-            assert_eq!(buf[4], VERSION_COLUMNAR);
+            let buf = v2(&t);
             assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), t, "len {}", len);
             let (back, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
             assert_eq!(back, t);
@@ -776,9 +743,7 @@ mod tests {
 
     #[test]
     fn columnar_rejects_every_single_bit_flip() {
-        let t = Trace::from_indices([7, 3, 3, 900, 7, 12]);
-        let mut buf = Vec::new();
-        write_trace_columnar(&mut buf, &t).unwrap();
+        let buf = v2(&Trace::from_indices([7, 3, 3, 900, 7, 12]));
         for byte in 0..buf.len() {
             for bit in 0..8 {
                 let mut bad = buf.clone();
@@ -799,8 +764,7 @@ mod tests {
         // preceding blocks survive verbatim.
         let n = crate::columnar::DEFAULT_BLOCK_EVENTS * 3 + 100;
         let t = Trace::from_indices((0..n as u32).map(|i| i % 997));
-        let mut buf = Vec::new();
-        write_trace_columnar(&mut buf, &t).unwrap();
+        let mut buf = v2(&t);
         let last = buf.len() - 1;
         buf[last] ^= 0x10;
         assert!(read_trace(&mut buf.as_slice()).is_err());
@@ -820,8 +784,7 @@ mod tests {
     #[test]
     fn columnar_salvage_of_truncated_container() {
         let t = Trace::from_indices((0..9000u32).map(|i| i % 501));
-        let mut full = Vec::new();
-        write_trace_columnar(&mut full, &t).unwrap();
+        let full = v2(&t);
         // Header intact, payload torn at an arbitrary point.
         let cut = full.len() / 2;
         let (salvaged, report) = read_trace_repaired(&mut &full[..cut]).unwrap();

@@ -8,16 +8,20 @@
 //!   instrumentation phase records alongside the trace,
 //! * [`TrimmedTrace`] — a trace with the trimming invariant enforced at the
 //!   type level,
-//! * [`footprint`] — windowed footprints `fp<a,b>` (Definition 2) and the
-//!   all-window average footprint curve used by the miss-probability model,
+//! * [`footprint`] — the all-window average footprint curve (over the
+//!   windowed footprints `fp<a,b>` of Definition 2) used by the
+//!   miss-probability model,
 //! * [`prune`] — hot-block trace pruning (the paper keeps the 10,000 most
 //!   frequently executed blocks, retaining >90% of occurrences),
 //! * [`sample`] — interval trace sampling,
 //! * [`stack`] — LRU stack processing (the paper's §II-F "Stack
 //!   Processing") producing reuse distances in O(log B) per access via an
-//!   Olken-style stamp + Fenwick-tree engine, with the paper's literal
-//!   walk-based structure retained as the [`stack::naive`] test oracle,
+//!   Olken-style stamp + Fenwick-tree engine (the paper's literal
+//!   walk-based structure is a test oracle in the dev-only `clop-oracle`
+//!   crate),
 //! * [`histogram`] — reuse-distance histograms and miss-ratio projection,
+//! * [`io`] — the CLTC trace container and mapping files: every writer
+//!   emits version 2, every reader also accepts versions 0 and 1,
 //! * [`columnar`] — the CLTC v2 columnar payload: independently decodable
 //!   delta blocks with per-block CRCs, zero-copy block iteration, and
 //!   block-granular salvage,
@@ -52,16 +56,12 @@ pub mod trace;
 
 pub use columnar::{ColumnarReader, ColumnarSalvage};
 pub use histogram::ReuseHistogram;
-pub use io::{
-    read_trace, read_trace_repaired, read_trimmed, write_trace, write_trace_columnar,
-    write_trimmed_columnar, RepairReport,
-};
+pub use io::{read_trace, read_trace_repaired, read_trimmed, write_trace, RepairReport};
 pub use mapping::{BlockMap, Granularity};
 pub use prune::{PruneReport, Pruner};
 pub use shard::{shards, shards_adaptive, Shard};
 pub use shardfile::{
-    read_shard, read_shard_repaired, split_shards, split_shards_columnar, write_shard,
-    write_shard_columnar, ShardFile,
+    read_shard, read_shard_repaired, split_shards_columnar, write_shard, ShardFile,
 };
 pub use stack::LruStack;
 pub use stats::{StatsState, TraceStats};

@@ -15,6 +15,10 @@
 //! payload                a complete CLTC trace container (the segment)
 //! ```
 //!
+//! [`write_shard`] embeds a CLTC v2 (columnar) container. Readers accept
+//! any container version, so shards written with a v1 payload by earlier
+//! releases still fold to the same answers.
+//!
 //! The segment spans the shard's backward overlap, core, and forward
 //! extension (see [`crate::shard`]), so a reader can recompute the shard's
 //! analysis delta with **no access to the rest of the trace** — the
@@ -28,9 +32,7 @@
 //! prefix and a [`RepairReport`], letting ingestion policy decide whether
 //! the loss is acceptable.
 
-use crate::io::{
-    read_trace, read_trace_repaired, write_trimmed, write_trimmed_columnar, Decoder, RepairReport,
-};
+use crate::io::{read_trace, read_trace_repaired, write_trimmed, Decoder, RepairReport};
 use crate::shard::shards;
 use crate::trace::{BlockId, Trace, TrimmedTrace};
 use clop_util::{ClopError, ClopResult};
@@ -64,7 +66,7 @@ impl ShardFile {
     }
 }
 
-/// Write one shard file.
+/// Write one shard file with a CLTC v2 segment.
 pub fn write_shard<W: Write>(
     w: &mut W,
     seq: u64,
@@ -81,27 +83,6 @@ pub fn write_shard<W: Write>(
     w.write_all(&header)?;
     w.write_all(&clop_util::crc32(&header).to_le_bytes())?;
     write_trimmed(w, segment)
-}
-
-/// [`write_shard`] with a columnar (CLTC v2) segment payload. The CLSH
-/// framing is identical; only the embedded trace container differs, and
-/// [`read_shard`] accepts either version transparently.
-pub fn write_shard_columnar<W: Write>(
-    w: &mut W,
-    seq: u64,
-    core_start: usize,
-    core_end: usize,
-    segment: &TrimmedTrace,
-) -> io::Result<()> {
-    let mut header = Vec::new();
-    let _ = crate::io::write_varint(&mut header, seq);
-    let _ = crate::io::write_varint(&mut header, core_start as u64);
-    let _ = crate::io::write_varint(&mut header, core_end as u64);
-    w.write_all(MAGIC)?;
-    w.write_all(&[FORMAT_VERSION])?;
-    w.write_all(&header)?;
-    w.write_all(&clop_util::crc32(&header).to_le_bytes())?;
-    write_trimmed_columnar(w, segment)
 }
 
 /// Parse the CLSH header (everything before the embedded CLTC payload).
@@ -209,7 +190,7 @@ pub fn read_shard_repaired<R: Read>(r: &mut R) -> ClopResult<(ShardFile, RepairR
 }
 
 /// Split a trace into serialized shard files covering **both** locality
-/// analyses.
+/// analyses, each written by [`write_shard`].
 ///
 /// Affinity measurement needs `lookback = w + 1` and `lookahead = w` (with
 /// `w = max(w_max, 2)`); TRG construction needs `lookback = window + 1`.
@@ -219,35 +200,11 @@ pub fn read_shard_repaired<R: Read>(r: &mut R) -> ClopResult<(ShardFile, RepairR
 /// serves both analyses. Shard boundaries depend only on the trace and the
 /// parameters (never on the machine), so a fleet splitting the same trace
 /// produces identical files.
-pub fn split_shards(
-    trace: &TrimmedTrace,
-    pieces: usize,
-    w_max: u32,
-    trg_window: usize,
-) -> Vec<Vec<u8>> {
-    split_shards_with(trace, pieces, w_max, trg_window, write_shard)
-}
-
-/// [`split_shards`] with columnar (CLTC v2) segment payloads. Same shard
-/// boundaries, same attribution metadata, byte-different payload encoding;
-/// every shard reader ([`read_shard`], [`read_shard_repaired`], the serve
-/// ingestion path) accepts both, so a fleet can mix the two formats during
-/// a rollout.
 pub fn split_shards_columnar(
     trace: &TrimmedTrace,
     pieces: usize,
     w_max: u32,
     trg_window: usize,
-) -> Vec<Vec<u8>> {
-    split_shards_with(trace, pieces, w_max, trg_window, write_shard_columnar)
-}
-
-fn split_shards_with(
-    trace: &TrimmedTrace,
-    pieces: usize,
-    w_max: u32,
-    trg_window: usize,
-    write: fn(&mut Vec<u8>, u64, usize, usize, &TrimmedTrace) -> io::Result<()>,
 ) -> Vec<Vec<u8>> {
     let w = w_max.max(2) as usize;
     let lookback = w.max(trg_window) + 1;
@@ -260,7 +217,7 @@ fn split_shards_with(
                 TrimmedTrace::from_events(trace.events()[sh.start..sh.end].iter().copied());
             let mut buf = Vec::new();
             // Writing to a Vec cannot fail.
-            let _ = write(
+            let _ = write_shard(
                 &mut buf,
                 i as u64,
                 sh.core_start - sh.start,
@@ -276,6 +233,7 @@ fn split_shards_with(
 mod tests {
     use super::*;
     use crate::trace::BlockId;
+    use clop_oracle::legacy;
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -288,12 +246,42 @@ mod tests {
         TrimmedTrace::from_indices((0..len).map(|_| (next() % blocks as u64) as u32))
     }
 
+    fn shard_bytes(seq: u64, core_start: usize, core_end: usize, t: &TrimmedTrace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_shard(&mut buf, seq, core_start, core_end, t).unwrap();
+        buf
+    }
+
+    /// A CLSH file with a legacy CLTC v1 segment, as earlier releases
+    /// wrote it.
+    fn v1_shard_bytes(seq: u64, core_start: usize, core_end: usize, t: &TrimmedTrace) -> Vec<u8> {
+        let ids: Vec<u32> = t.iter().map(|b| b.0).collect();
+        legacy::clsh_v1(seq, core_start, core_end, &ids)
+    }
+
+    /// The version byte of the CLTC container embedded in a CLSH file.
+    fn embedded_version(buf: &[u8]) -> u8 {
+        let mut rest = buf;
+        read_shard_header(&mut rest).unwrap();
+        assert_eq!(&rest[..4], b"CLTC");
+        rest[4]
+    }
+
+    #[test]
+    fn writers_emit_version_2() {
+        let t = random_trace(20, 120, 11);
+        assert_eq!(embedded_version(&shard_bytes(7, 10, 100, &t)), 2);
+        let files = split_shards_columnar(&random_trace(22, 900, 17), 4, 8, 16);
+        assert!(files.len() > 1);
+        for f in &files {
+            assert_eq!(embedded_version(f), 2);
+        }
+    }
+
     #[test]
     fn shard_round_trip() {
         let t = random_trace(1, 120, 11);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 7, 10, 100, &t).unwrap();
-        let back = read_shard(&mut buf.as_slice()).unwrap();
+        let back = read_shard(&mut shard_bytes(7, 10, 100, &t).as_slice()).unwrap();
         assert_eq!(back.seq, 7);
         assert_eq!(back.core_start, 10);
         assert_eq!(back.core_end, 100);
@@ -302,9 +290,20 @@ mod tests {
     }
 
     #[test]
+    fn legacy_v1_shards_read_like_v2() {
+        let t = random_trace(21, 120, 11);
+        let v1 = v1_shard_bytes(7, 10, 100, &t);
+        assert_eq!(embedded_version(&v1), 1);
+        assert_eq!(
+            read_shard(&mut v1.as_slice()).unwrap(),
+            read_shard(&mut shard_bytes(7, 10, 100, &t).as_slice()).unwrap()
+        );
+    }
+
+    #[test]
     fn split_covers_trace_exactly() {
         let t = random_trace(2, 900, 17);
-        let files = split_shards(&t, 4, 8, 16);
+        let files = split_shards_columnar(&t, 4, 8, 16);
         assert!(!files.is_empty());
         let mut rebuilt: Vec<BlockId> = Vec::new();
         for (i, f) in files.iter().enumerate() {
@@ -316,80 +315,18 @@ mod tests {
     }
 
     #[test]
-    fn columnar_shard_round_trip() {
-        let t = random_trace(21, 120, 11);
-        let mut buf = Vec::new();
-        write_shard_columnar(&mut buf, 7, 10, 100, &t).unwrap();
-        let back = read_shard(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.seq, 7);
-        assert_eq!(back.core_start, 10);
-        assert_eq!(back.core_end, 100);
-        assert_eq!(back.trace, t);
-        assert_eq!(back.core(), &t.events()[10..100]);
-    }
-
-    #[test]
-    fn columnar_split_covers_trace_exactly_with_same_boundaries() {
-        let t = random_trace(22, 900, 17);
-        let row = split_shards(&t, 4, 8, 16);
-        let col = split_shards_columnar(&t, 4, 8, 16);
-        assert_eq!(row.len(), col.len());
-        let mut rebuilt: Vec<BlockId> = Vec::new();
-        for (i, f) in col.iter().enumerate() {
-            let sf = read_shard(&mut f.as_slice()).unwrap();
-            let rf = read_shard(&mut row[i].as_slice()).unwrap();
-            assert_eq!(sf.seq, i as u64);
-            assert_eq!((sf.core_start, sf.core_end), (rf.core_start, rf.core_end));
-            assert_eq!(sf.trace, rf.trace);
-            rebuilt.extend_from_slice(sf.core());
-        }
-        assert_eq!(rebuilt, t.events());
-    }
-
-    #[test]
-    fn columnar_shard_rejects_every_single_bit_flip() {
-        let t = random_trace(23, 60, 9);
-        let mut buf = Vec::new();
-        write_shard_columnar(&mut buf, 3, 5, 55, &t).unwrap();
-        for byte in 0..buf.len() {
-            for bit in 0..8 {
-                let mut bad = buf.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    read_shard(&mut bad.as_slice()).is_err(),
-                    "flip at {}:{} went undetected",
-                    byte,
-                    bit
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_repaired_read_salvages_and_clamps_core() {
-        let t = random_trace(24, 200, 11);
-        let mut buf = Vec::new();
-        write_shard_columnar(&mut buf, 2, 20, 200, &t).unwrap();
-        buf.truncate(buf.len() - 3); // tear the CLTC v2 payload tail
-        let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
-        assert!(report.dropped > 0);
-        assert!(!report.is_clean());
-        assert_eq!(sf.seq, 2);
-        assert_eq!(sf.core_end, sf.trace.len());
-        assert_eq!(&t.events()[..sf.trace.len()], sf.trace.events());
-    }
-
-    #[test]
     fn split_is_machine_independent_and_deterministic() {
         let t = random_trace(3, 700, 13);
-        assert_eq!(split_shards(&t, 5, 8, 16), split_shards(&t, 5, 8, 16));
+        assert_eq!(
+            split_shards_columnar(&t, 5, 8, 16),
+            split_shards_columnar(&t, 5, 8, 16)
+        );
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
         let t = random_trace(4, 50, 7);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 0, 0, 50, &t).unwrap();
+        let buf = shard_bytes(0, 0, 50, &t);
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(read_shard(&mut bad.as_slice())
@@ -407,18 +344,19 @@ mod tests {
     #[test]
     fn rejects_every_single_bit_flip() {
         let t = random_trace(5, 60, 9);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 3, 5, 55, &t).unwrap();
-        for byte in 0..buf.len() {
-            for bit in 0..8 {
-                let mut bad = buf.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    read_shard(&mut bad.as_slice()).is_err(),
-                    "flip at {}:{} went undetected",
-                    byte,
-                    bit
-                );
+        for buf in [shard_bytes(3, 5, 55, &t), v1_shard_bytes(3, 5, 55, &t)] {
+            for byte in 0..buf.len() {
+                for bit in 0..8 {
+                    let mut bad = buf.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert!(
+                        read_shard(&mut bad.as_slice()).is_err(),
+                        "v{} flip at {}:{} went undetected",
+                        embedded_version(&buf),
+                        byte,
+                        bit
+                    );
+                }
             }
         }
     }
@@ -426,9 +364,7 @@ mod tests {
     #[test]
     fn rejects_out_of_bounds_core() {
         let t = random_trace(6, 30, 5);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 0, 0, 31, &t).unwrap();
-        assert!(read_shard(&mut buf.as_slice())
+        assert!(read_shard(&mut shard_bytes(0, 0, 31, &t).as_slice())
             .unwrap_err()
             .to_string()
             .contains("out of bounds"));
@@ -436,24 +372,24 @@ mod tests {
 
     #[test]
     fn repaired_read_salvages_and_clamps_core() {
+        // A torn payload tail: v2 drops the damaged block, v1 the damaged
+        // events; either way the core is clamped to what survived.
         let t = random_trace(7, 200, 11);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 2, 20, 200, &t).unwrap();
-        buf.truncate(buf.len() - 3); // tear the CLTC payload tail
-        let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
-        assert!(report.dropped > 0);
-        assert!(!report.is_clean());
-        assert_eq!(sf.seq, 2);
-        assert_eq!(sf.core_end, sf.trace.len());
-        assert_eq!(&t.events()[..sf.trace.len()], sf.trace.events());
+        for mut buf in [shard_bytes(2, 20, 200, &t), v1_shard_bytes(2, 20, 200, &t)] {
+            buf.truncate(buf.len() - 3);
+            let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
+            assert!(report.dropped > 0);
+            assert!(!report.is_clean());
+            assert_eq!(sf.seq, 2);
+            assert_eq!(sf.core_end, sf.trace.len());
+            assert_eq!(&t.events()[..sf.trace.len()], sf.trace.events());
+        }
     }
 
     #[test]
     fn repaired_read_of_clean_file_is_clean() {
         let t = random_trace(8, 80, 7);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 1, 0, 80, &t).unwrap();
-        let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
+        let (sf, report) = read_shard_repaired(&mut shard_bytes(1, 0, 80, &t).as_slice()).unwrap();
         assert!(report.is_clean());
         assert_eq!(sf.trace, t);
     }
@@ -461,8 +397,7 @@ mod tests {
     #[test]
     fn repaired_read_still_rejects_header_damage() {
         let t = random_trace(9, 40, 5);
-        let mut buf = Vec::new();
-        write_shard(&mut buf, 1, 0, 40, &t).unwrap();
+        let mut buf = shard_bytes(1, 0, 40, &t);
         buf[6] ^= 0x40; // inside the header varints
         assert!(read_shard_repaired(&mut buf.as_slice()).is_err());
     }

@@ -23,9 +23,9 @@
 //! so compaction runs at most once per `capacity` accesses and the
 //! amortized cost per access stays O(log B) for B distinct blocks.
 //!
-//! The previous walk-based implementation is retained, bit-for-bit
-//! compatible, as [`naive::NaiveLruStack`]: it is the oracle for the
-//! differential test harness (`crates/trace/tests/differential.rs`).
+//! The previous walk-based implementation is kept, bit-for-bit compatible,
+//! as `clop_oracle::NaiveLruStack`: it is the oracle for the differential
+//! test harness (`crates/trace/tests/differential.rs`).
 //!
 //! Supported queries:
 //!
@@ -36,8 +36,6 @@
 //! * iteration over the top `w` entries in recency order — O(w).
 
 use crate::trace::BlockId;
-
-pub mod naive;
 
 const NIL: u32 = u32::MAX;
 
@@ -435,23 +433,6 @@ mod tests {
             assert_eq!(got, want, "at position {}", i);
             last_pos.insert(x, i);
         }
-    }
-
-    #[test]
-    fn compaction_preserves_distances() {
-        // Small capacity + long trace forces many compactions (stamp space
-        // is 2 * capacity = 8): distances must stay exact throughout.
-        let mut s = LruStack::new(4);
-        let mut n = naive::NaiveLruStack::new(4);
-        let mut state = 0x853C49E6748FEA9Bu64;
-        for i in 0..10_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (state >> 33) as u32 % 4;
-            assert_eq!(s.access(b(x)), n.access(b(x)), "event {}", i);
-        }
-        assert_eq!(s.top(4), n.top(4));
     }
 
     #[test]

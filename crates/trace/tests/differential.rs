@@ -1,6 +1,6 @@
 //! Differential tests: the Olken/Fenwick reuse-distance engine against the
-//! naive walk-based oracle (`stack::naive`), over >1000 seeded random
-//! traces.
+//! naive walk-based oracle (`clop_oracle::NaiveLruStack`), over >1000
+//! seeded random traces.
 //!
 //! The naive stack is the paper's literal stack-processing structure: the
 //! distance of an access is found by walking the recency list from the
@@ -9,8 +9,8 @@
 //! first-access (infinite) handling, bounded-window (`w_max`) clipping,
 //! and the resulting recency order — for every trace in every case.
 
-use clop_trace::footprint::{footprint_between, FootprintCurve};
-use clop_trace::stack::naive::NaiveLruStack;
+use clop_oracle::{footprint_between, NaiveLruStack};
+use clop_trace::footprint::FootprintCurve;
 use clop_trace::{BlockId, LruStack, ReuseHistogram, TrimmedTrace};
 use clop_util::check::{check_n, vec_of_indices};
 use clop_util::Rng;
@@ -194,22 +194,39 @@ fn compaction_stress_matches_naive() {
     });
 }
 
+#[test]
+fn compaction_at_capacity_four_matches_naive() {
+    // Stamp space is 2 * capacity = 8: a long trace compacts thousands of
+    // times, and distances and recency order must stay exact throughout.
+    let mut fast = LruStack::new(4);
+    let mut slow = NaiveLruStack::new(4);
+    let mut state = 0x853C49E6748FEA9Bu64;
+    for i in 0..10_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let b = BlockId((state >> 33) as u32 % 4);
+        assert_eq!(fast.access(b), slow.access(b), "event {}", i);
+    }
+    assert_eq!(fast.top(4), slow.top(4));
+}
+
 /// Traces that survive container corruption (via the repair reader) are
 /// ordinary traces: the Fenwick engine and the naive oracle must agree on
 /// them exactly, just as they do on cleanly generated inputs. Corrupted
 /// payloads can decode to arbitrary block ids, so salvaged traces whose
-/// id space would blow up the engines' dense capacity are skipped.
+/// id space would blow up the engines' dense capacity are skipped. The
+/// files are legacy v1 containers: their salvage keeps an event prefix
+/// (v2 salvage drops whole blocks), which yields the most varied traces.
 #[test]
 fn repaired_corrupted_traces_keep_engines_in_agreement() {
-    use clop_trace::{io, Trace};
+    use clop_trace::io;
     use clop_util::fault::seeded_corruptions;
 
     let mut exercised = 0usize;
     check_n("diff/repaired_corruption", 120, |rng| {
         let ids = vec_of_indices(rng, 250, 48);
-        let t = Trace::from_indices(ids);
-        let mut buf = Vec::new();
-        io::write_trace(&mut buf, &t).unwrap();
+        let buf = clop_oracle::legacy::cltc_v1(&ids);
         let seed = rng.next_u64();
         for c in seeded_corruptions(seed, &buf, 4) {
             let Ok((salvaged, report)) = io::read_trace_repaired(&mut c.data.as_slice()) else {

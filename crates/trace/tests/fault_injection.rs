@@ -9,18 +9,17 @@
 //!
 //! Coverage: >500 seeded corruptions (bit flips, byte rewrites, span
 //! duplication/deletion/zeroing, garbage insertion/appends) plus
-//! truncation at *every* byte boundary, applied to columnar-v2, v1 and
-//! legacy-v0 containers of representative traces, driven through
+//! truncation at *every* byte boundary, applied to columnar-v2 containers
+//! (the written format) and legacy v1 and v0 containers (read-only, from
+//! `clop_oracle::legacy`) of representative traces, driven through
 //! `read_trace`, `read_trimmed` and `read_trace_repaired`; hostile
 //! handcrafted headers (astronomical counts, lying lengths) round it out.
 //! A dedicated columnar storm additionally checks the salvage contract:
 //! whatever survives is a clean prefix and the report accounts for every
 //! dropped event.
 
-use clop_trace::io::{
-    read_mapping, read_trace, read_trace_repaired, read_trimmed, write_trace, write_trace_columnar,
-    write_trace_v0,
-};
+use clop_oracle::legacy;
+use clop_trace::io::{read_mapping, read_trace, read_trace_repaired, read_trimmed, write_trace};
 use clop_trace::{BlockMap, Trace};
 use clop_util::fault::{all_truncations, seeded_corruptions};
 use clop_util::ClopError;
@@ -84,13 +83,17 @@ fn assert_structured(e: &ClopError, what: &str) {
 fn corruption_storm_returns_structured_errors_only() {
     let mut cases = 0usize;
     for (ti, trace) in sample_traces().into_iter().enumerate() {
+        let ids: Vec<u32> = trace.events().iter().map(|b| b.0).collect();
         for version in [0u8, 1, 2] {
-            let mut buf = Vec::new();
-            match version {
-                0 => write_trace_v0(&mut buf, &trace).unwrap(),
-                1 => write_trace(&mut buf, &trace).unwrap(),
-                _ => write_trace_columnar(&mut buf, &trace).unwrap(),
-            }
+            let buf = match version {
+                0 => legacy::cltc_v0(&ids),
+                1 => legacy::cltc_v1(&ids),
+                _ => {
+                    let mut buf = Vec::new();
+                    write_trace(&mut buf, &trace).unwrap();
+                    buf
+                }
+            };
             let seed = 0xC10F_0000 + ti as u64 * 3 + version as u64;
             for c in seeded_corruptions(seed, &buf, 40) {
                 exercise(&c.data, &c.description);
@@ -124,7 +127,7 @@ fn columnar_storm_salvages_clean_prefixes_only() {
     }
     let trace = Trace::from_indices(ids);
     let mut buf = Vec::new();
-    write_trace_columnar(&mut buf, &trace).unwrap();
+    write_trace(&mut buf, &trace).unwrap();
 
     let mut cases = 0usize;
     let mut salvaged_partial = 0usize;
@@ -166,9 +169,7 @@ fn columnar_storm_salvages_clean_prefixes_only() {
 fn every_truncation_of_a_v1_container_is_rejected() {
     // Stronger than "no panic": a v1 container is length- and
     // checksum-framed, so *every* proper prefix must be rejected outright.
-    let t = Trace::from_indices([3, 1, 4, 1, 5, 9, 2, 6, 1 << 24]);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &t).unwrap();
+    let buf = legacy::cltc_v1(&[3, 1, 4, 1, 5, 9, 2, 6, 1 << 24]);
     for c in all_truncations(&buf) {
         let e = read_trace(&mut &c.data[..]).unwrap_err();
         assert_structured(&e, &c.description);

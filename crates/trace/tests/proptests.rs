@@ -1,7 +1,8 @@
 //! Property-based tests for the trace crate's core data structures,
 //! driven by the seeded `clop_util::check` harness.
 
-use clop_trace::footprint::{footprint_between, FootprintCurve};
+use clop_oracle::footprint_between;
+use clop_trace::footprint::FootprintCurve;
 use clop_trace::io;
 use clop_trace::{BlockId, LruStack, ReuseHistogram, Trace, TrimmedTrace};
 use clop_util::check::{check, vec_of_indices};
@@ -173,11 +174,11 @@ fn trim_preserves_blocks() {
 }
 
 /// Every proper prefix of a serialized trace is rejected with a
-/// structured error — never a panic, never an over-allocation. The v1
+/// structured error — never a panic, never an over-allocation. The
 /// container frames the payload with an explicit length and checksum, so
 /// a torn write at *any* byte boundary is detectable; decode memory stays
-/// proportional to the bytes actually present (the decoder grows the
-/// trace incrementally instead of trusting the declared event count).
+/// proportional to the bytes actually present (the payload is read as it
+/// arrives instead of trusting the declared length).
 #[test]
 fn truncated_prefixes_always_fail_structurally() {
     check("truncation_prefix", |rng| {

@@ -4,7 +4,7 @@
 //! trace-driven one.
 
 use clop_trace::shard::shards;
-use clop_trace::shardfile::{read_shard, split_shards};
+use clop_trace::shardfile::{read_shard, split_shards_columnar};
 use clop_trace::{StatsState, TraceStats, TrimmedTrace};
 use clop_trg::{reduce, reduce_from_stats, Trg, TrgDelta, TrgState};
 use clop_util::check::{check_n, vec_of_indices};
@@ -86,7 +86,10 @@ fn shard_files_round_trip_into_identical_state() {
         let batch = Trg::build(&t, window);
 
         let mut state = TrgState::new(window);
-        for bytes in split_shards(&t, pieces, w_max, window).iter().rev() {
+        for bytes in split_shards_columnar(&t, pieces, w_max, window)
+            .iter()
+            .rev()
+        {
             let sf = read_shard(&mut bytes.as_slice()).unwrap();
             let d = TrgDelta::measure(sf.seq, &sf.trace, window, sf.core_start, sf.core_end);
             state.absorb(&d).unwrap();

@@ -5,8 +5,10 @@
 //! registers closures by name; the runner times each one adaptively
 //! (doubling the iteration count until a wall-clock budget is met) and
 //! prints a `ns/iter` line. A positional argument filters benchmarks by
-//! substring, matching `cargo bench <filter>` behaviour; the `--bench` /
-//! `--test` flags cargo passes are ignored.
+//! substring, matching `cargo bench <filter>` behaviour, and `--jobs N`
+//! (`--jobs=N`, `-j N`) sets the worker count. The `--bench` flag cargo
+//! passes is accepted; any other flag, a bad worker count or a second
+//! filter prints the usage and exits with status 2.
 //!
 //! Two environment variables adjust the harness without touching the
 //! targets:
@@ -85,35 +87,70 @@ pub fn quick() -> bool {
     std::env::var("CLOP_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-impl Runner {
-    /// Build a runner from the process arguments: the first non-flag
-    /// argument becomes the name filter; `--jobs N` / `--jobs=N` / `-j N`
-    /// set the worker count for sharded benchmark bodies (default:
-    /// `CLOP_BENCH_JOBS`, else the machine's available parallelism).
-    pub fn from_args() -> Self {
-        let mut r = Runner::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        r.apply_args(&args);
-        r
-    }
+/// The usage line printed when a bench target's arguments do not parse.
+const USAGE: &str = "usage: <bench target> [--bench] [--jobs N | --jobs=N | -j N] [FILTER]";
 
-    fn apply_args(&mut self, args: &[String]) {
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if a == "--jobs" || a == "-j" {
-                if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    self.jobs = n.max(1);
-                }
-                i += 1; // skip the value token — it is not a filter
-            } else if let Some(v) = a.strip_prefix("--jobs=") {
-                if let Ok(n) = v.parse::<usize>() {
-                    self.jobs = n.max(1);
-                }
-            } else if !a.starts_with('-') && self.filter.is_none() {
-                self.filter = Some(a.to_string());
+/// A bench target's command line: the row-name filter and the worker
+/// count, when given.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    filter: Option<String>,
+    jobs: Option<usize>,
+}
+
+/// Parse a bench target's arguments: `--bench` (which cargo passes), a
+/// worker count `N ≥ 1` as `--jobs N`, `--jobs=N` or `-j N`, and at most
+/// one filter. Anything else is an error naming the argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let count = match a.as_str() {
+            "--bench" => continue,
+            "--jobs" | "-j" => Some(
+                it.next()
+                    .ok_or_else(|| format!("`{}` needs a worker count", a))?
+                    .as_str(),
+            ),
+            other => other.strip_prefix("--jobs="),
+        };
+        if let Some(v) = count {
+            match v.parse::<usize>() {
+                Ok(n) if n >= 1 => out.jobs = Some(n),
+                _ => return Err(format!("bad worker count `{}`: need an integer >= 1", v)),
             }
-            i += 1;
+        } else if a.starts_with('-') {
+            return Err(format!("unknown flag `{}`", a));
+        } else if out.filter.is_some() {
+            return Err(format!("a second filter `{}`", a));
+        } else {
+            out.filter = Some(a.clone());
+        }
+    }
+    Ok(out)
+}
+
+impl Runner {
+    /// Build a runner from the process arguments (see `parse_args`): the
+    /// filter selects rows by name substring, and the worker count for
+    /// sharded benchmark bodies defaults to `CLOP_BENCH_JOBS`, else the
+    /// machine's available parallelism. Bad arguments print the usage and
+    /// exit with status 2.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match parse_args(&args) {
+            Ok(parsed) => {
+                let mut r = Runner::default();
+                r.filter = parsed.filter;
+                if let Some(jobs) = parsed.jobs {
+                    r.jobs = jobs;
+                }
+                r
+            }
+            Err(msg) => {
+                eprintln!("{}\n{}", msg, USAGE);
+                std::process::exit(2);
+            }
         }
     }
 
@@ -217,32 +254,46 @@ mod tests {
         }
     }
 
+    fn parse(v: &[&str]) -> Result<Args, String> {
+        parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn jobs_flag_is_parsed_and_not_a_filter() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = |filter: Option<&str>, jobs: Option<usize>| Args {
+            filter: filter.map(str::to_string),
+            jobs,
+        };
+        assert_eq!(
+            parse(&["--bench", "--jobs", "4", "affinity"]),
+            Ok(args(Some("affinity"), Some(4)))
+        );
+        assert_eq!(parse(&["--jobs=8"]), Ok(args(None, Some(8))));
+        assert_eq!(
+            parse(&["-j", "2", "trg", "--bench"]),
+            Ok(args(Some("trg"), Some(2)))
+        );
+        assert_eq!(parse(&["--bench"]), Ok(args(None, None)));
+        assert_eq!(parse(&[]), Ok(args(None, None)));
+    }
 
-        let mut r = test_runner(None, None);
-        r.apply_args(&to_args(&["--bench", "--jobs", "4", "affinity"]));
-        assert_eq!(r.jobs(), 4);
-        assert_eq!(r.filter.as_deref(), Some("affinity"));
-
-        let mut r = test_runner(None, None);
-        r.apply_args(&to_args(&["--jobs=8"]));
-        assert_eq!(r.jobs(), 8);
-        assert_eq!(r.filter, None);
-
-        let mut r = test_runner(None, None);
-        r.apply_args(&to_args(&["-j", "2", "trg"]));
-        assert_eq!(r.jobs(), 2);
-        assert_eq!(r.filter.as_deref(), Some("trg"));
-
-        // Zero clamps to 1; a malformed value is ignored.
-        let mut r = test_runner(None, None);
-        r.apply_args(&to_args(&["--jobs=0"]));
-        assert_eq!(r.jobs(), 1);
-        let mut r = test_runner(None, None);
-        r.apply_args(&to_args(&["--jobs", "nope"]));
-        assert_eq!(r.jobs(), 1);
+    #[test]
+    fn unknown_flags_bad_counts_and_second_filters_are_rejected() {
+        for bad in [
+            &["--jbos", "1"][..],
+            &["--test"],
+            &["-q", "cache"],
+            &["--jobs", "0"],
+            &["--jobs=0"],
+            &["--jobs", "x"],
+            &["-j", "-1"],
+            &["--jobs"],
+            &["--jobs="],
+            &["cache", "extra"],
+        ] {
+            assert!(parse(bad).is_err(), "{:?} must be rejected", bad);
+        }
+        assert!(parse(&["--jbos", "1"]).unwrap_err().contains("--jbos"));
     }
 
     #[test]

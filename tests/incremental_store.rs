@@ -11,11 +11,11 @@
 
 use code_layout_opt::core::incremental::{AnalysisParams, VersionState};
 use code_layout_opt::core::{build_pipeline, Profile, ProfileConfig};
-use code_layout_opt::trace::{read_shard, split_shards, ShardFile, TrimmedTrace};
+use code_layout_opt::trace::{read_shard, split_shards_columnar, ShardFile, TrimmedTrace};
 use code_layout_opt::workloads::full_suite;
 
 fn shard_files(t: &TrimmedTrace, pieces: usize, p: &AnalysisParams) -> Vec<ShardFile> {
-    split_shards(t, pieces, p.affinity.w_max, p.trg.window)
+    split_shards_columnar(t, pieces, p.affinity.w_max, p.trg.window)
         .iter()
         .map(|b| read_shard(&mut b.as_slice()).unwrap())
         .collect()

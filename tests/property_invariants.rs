@@ -1,7 +1,8 @@
 //! Property-based tests over cross-crate invariants, driven by the seeded
 //! `clop_util::check` harness.
 
-use code_layout_opt::affinity::{affinity_layout, naive, AffinityConfig, PairThresholds};
+use clop_oracle::pair_threshold;
+use code_layout_opt::affinity::{affinity_layout, AffinityConfig, PairThresholds};
 use code_layout_opt::cachesim::{simulate_corun_nway, simulate_solo_lines, CacheConfig};
 use code_layout_opt::trace::{BlockId, LruStack, Pruner, ReuseHistogram, Trace, TrimmedTrace};
 use code_layout_opt::trg::{trg_layout, TrgConfig};
@@ -153,8 +154,7 @@ fn analyzer_matches_naive() {
         let eff = PairThresholds::measure(&t, w_max);
         for x in 0..7u32 {
             for y in (x + 1)..7u32 {
-                let exact =
-                    naive::pair_threshold(&t, BlockId(x), BlockId(y)).filter(|&v| v <= w_max);
+                let exact = pair_threshold(&t, BlockId(x), BlockId(y)).filter(|&v| v <= w_max);
                 assert_eq!(
                     eff.get(BlockId(x), BlockId(y)),
                     exact,

@@ -49,8 +49,7 @@ fn figure3_program() -> Module {
 }
 
 /// The direct path (`Pipeline::optimize`) and the memoized engine path
-/// (`Engine::optimize`, which reuses cached thresholds and graphs) agree
-/// for every pipeline.
+/// (`Engine::optimize`) agree for every pipeline.
 fn assert_paths_agree(module: &Module, profile: Option<ProfileConfig>) {
     let engine = Engine::new();
     for name in PIPELINES {
