@@ -14,7 +14,10 @@
 #
 # Phase 2 — backpressure: a 1-slot admission queue, a single worker, and
 # an artificial per-fold delay force `-RETRY` responses; the client-side
-# retry loop must still land every shard exactly once.
+# retry loop must still land every shard exactly once. A second round runs
+# the same queue with durable acks and three concurrent clients on three
+# versions: durable SHARDs share the bounded queue, so they too must meet
+# `-RETRY`, and every acked shard must be folded.
 #
 # Usage: ci/serve_smoke.sh [path-to-clop-serve]
 set -euo pipefail
@@ -28,8 +31,11 @@ fi
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/clop-serve-smoke.XXXXXX")
 PID=""
+SEND_PIDS=()
 cleanup() {
-    [[ -n "$PID" ]] && kill -9 "$PID" 2>/dev/null || true
+    for p in "$PID" "${SEND_PIDS[@]}"; do
+        [[ -n "$p" ]] && kill -9 "$p" 2>/dev/null || true
+    done
     rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -165,6 +171,46 @@ fi
 wait "$PID" 2>/dev/null || true
 PID=""
 
+echo "== phase 2, durable round: durable acks share the bounded queue =="
+export CLOP_SERVE_DURABLE_ACK=1
+export CLOP_SERVE_CHECKPOINT_DIR="$WORK/ckpt-durable"
+start_daemon phase2-durable
+DURABLE_VERSIONS=(d1 d2 d3)
+for v in "${DURABLE_VERSIONS[@]}"; do
+    "$BIN" send "$WORK/port" "$v" "${SHARDS[@]}" 2>"$WORK/send-$v.err" &
+    SEND_PIDS+=($!)
+done
+for p in "${SEND_PIDS[@]}"; do
+    if ! wait "$p"; then
+        echo "FAIL: a durable send client failed" >&2
+        cat "$WORK"/send-d*.err >&2
+        exit 1
+    fi
+done
+SEND_PIDS=()
+DURABLE_RETRIES=$(stat_value retry_busy)
+FOLDED=$(stat_value folded)
+SENT=$((${#DURABLE_VERSIONS[@]} * NSHARDS))
+if [[ "$DURABLE_RETRIES" -lt 1 ]]; then
+    echo "FAIL: durable SHARDs never met the 1-slot queue (retry_busy=0)" >&2
+    exit 1
+fi
+if [[ "$FOLDED" -ne "$SENT" ]]; then
+    echo "FAIL: folded $FOLDED durable shards, expected $SENT" >&2
+    exit 1
+fi
+for v in "${DURABLE_VERSIONS[@]}"; do
+    ABSORBED=$("$BIN" epoch "$WORK/port" "$v" | awk '{ print $3 }')
+    if [[ "$ABSORBED" -ne "$NSHARDS" ]]; then
+        echo "FAIL: version $v holds $ABSORBED shards, expected $NSHARDS" >&2
+        exit 1
+    fi
+done
+"$BIN" stop "$WORK/port" >/dev/null
+wait "$PID" 2>/dev/null || true
+PID=""
+
 echo "PASS: serve smoke — resume after SIGKILL matches batch goldens," \
      "corruption rejected, backpressure answered $RETRIES retries with" \
-     "all $NSHARDS shards folded"
+     "all $NSHARDS shards folded, and $DURABLE_RETRIES with durable acks" \
+     "from three clients"

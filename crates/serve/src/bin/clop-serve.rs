@@ -33,6 +33,7 @@
 //! `CLOP_SERVE_PORT_FILE` handshake.
 
 use clop_serve::chaos::ChaosProxy;
+use clop_serve::config::Vars;
 use clop_serve::session::{Session, SessionConfig};
 use clop_serve::{ServeConfig, Server};
 use clop_trace::{read_trace, split_shards_columnar, write_trace, Trace, TrimmedTrace};
@@ -62,7 +63,7 @@ fn run(args: &[&str]) -> Result<(), String> {
         ["stats", addr] => cmd_stats(addr),
         ["stop", addr] => cmd_simple(addr, "STOP", "+"),
         ["health", addr] => cmd_health(addr),
-        ["epoch", addr, version] => cmd_epoch(addr, version),
+        ["epoch", addr, version] => cmd_simple(addr, &format!("EPOCH {}", version), "+EPOCH "),
         ["chaos-proxy", addr, seed, schedule] => cmd_chaos_proxy(addr, seed, schedule, None),
         ["chaos-proxy", addr, seed, schedule, port_file] => {
             cmd_chaos_proxy(addr, seed, schedule, Some(port_file))
@@ -79,7 +80,7 @@ fn run(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_serve() -> Result<(), String> {
-    let config = ServeConfig::from_env();
+    let config = ServeConfig::from_env(&Vars::env()).map_err(|e| e.to_string())?;
     let server = Server::start(config).map_err(|e| e.to_string())?;
     println!("listening on {}", server.addr());
     server.join();
@@ -116,11 +117,10 @@ fn load_trimmed(input: &str) -> Result<TrimmedTrace, String> {
 }
 
 fn cmd_split(input: &str, outdir: &str) -> Result<(), String> {
-    let config = ServeConfig::from_env();
-    let pieces = std::env::var("CLOP_SERVE_SPLIT_PIECES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let config = ServeConfig::from_env(&Vars::env()).map_err(|e| e.to_string())?;
+    let pieces = Vars::env()
+        .get("CLOP_SERVE_SPLIT_PIECES", 8, 1..)
+        .map_err(|e| e.to_string())?;
     let trimmed = load_trimmed(input)?;
     let files = split_shards_columnar(
         &trimmed,
@@ -138,7 +138,7 @@ fn cmd_split(input: &str, outdir: &str) -> Result<(), String> {
 }
 
 fn cmd_batch_order(input: &str, pipeline: &str) -> Result<(), String> {
-    let config = ServeConfig::from_env();
+    let config = ServeConfig::from_env(&Vars::env()).map_err(|e| e.to_string())?;
     let trimmed = load_trimmed(input)?;
     let pp = config.params.pipeline_params();
     let pipe = clop_core::build_pipeline(pipeline, &pp)
@@ -170,8 +170,8 @@ fn resolve_addr(addr: &str) -> Result<String, String> {
 /// (including `-RETRY` honoring bounded by `CLOP_SERVE_RETRY_BUDGET_MS`).
 fn open_session(addr: &str) -> Result<Session, String> {
     let resolved = resolve_addr(addr)?;
-    Session::new(resolved.as_str(), SessionConfig::from_env())
-        .map_err(|e| format!("resolve {}: {}", resolved, e))
+    let cfg = SessionConfig::from_env(&Vars::env()).map_err(|e| e.to_string())?;
+    Session::new(resolved.as_str(), cfg).map_err(|e| format!("resolve {}: {}", resolved, e))
 }
 
 fn cmd_send(addr: &str, version: &str, files: &[&str]) -> Result<(), String> {
@@ -221,19 +221,6 @@ fn cmd_health(addr: &str) -> Result<(), String> {
     let (state, depth, cap) = session.health().map_err(|e| e.to_string())?;
     println!("{} {} {}", state, depth, cap);
     Ok(())
-}
-
-fn cmd_epoch(addr: &str, version: &str) -> Result<(), String> {
-    let mut session = open_session(addr)?;
-    let resp = session
-        .command(&format!("EPOCH {}", version))
-        .map_err(|e| e.to_string())?;
-    if resp.starts_with("+EPOCH ") {
-        println!("{}", resp);
-        Ok(())
-    } else {
-        Err(resp)
-    }
 }
 
 fn cmd_simple(addr: &str, cmd: &str, prefix: &str) -> Result<(), String> {

@@ -53,14 +53,10 @@ pub fn marker_path(dir: &Path, version: &str) -> PathBuf {
     dir.join(format!("{}.done", version))
 }
 
-/// Write one version's checkpoint: atomic state file, then atomic marker.
-pub fn checkpoint_version(dir: &Path, version: &str, state: &VersionState) -> ClopResult<()> {
-    checkpoint_bytes(dir, version, &state.to_bytes())
-}
-
-/// [`checkpoint_version`] over an already-serialized snapshot, so callers
-/// can serialize under a state lock and write after releasing it. Rotates
-/// a complete previous checkpoint to `.prev` before the new state lands.
+/// Write one version's checkpoint from its serialized snapshot: atomic
+/// state file, then atomic marker. A complete previous checkpoint rotates
+/// to `.prev` first. The daemon calls this under the version's state lock,
+/// so two snapshots of one version never land out of order.
 pub fn checkpoint_bytes(dir: &Path, version: &str, snapshot: &[u8]) -> ClopResult<()> {
     fs::create_dir_all(dir).map_err(|e| ClopError::io("create checkpoint directory", &e))?;
     let state = state_path(dir, version);
@@ -231,7 +227,7 @@ mod tests {
         let dir = tmp_dir("round-trip");
         let state = folded_state(1);
         let bytes = state.to_bytes();
-        checkpoint_version(&dir, "v1", &state).unwrap();
+        checkpoint_bytes(&dir, "v1", &state.to_bytes()).unwrap();
 
         let store = IncrementalStore::new();
         let report = resume_all(&dir, &store).unwrap();
@@ -264,9 +260,9 @@ mod tests {
     fn second_checkpoint_rotates_a_fallback_generation() {
         let dir = tmp_dir("rotate");
         let old = folded_state(7);
-        checkpoint_version(&dir, "v1", &old).unwrap();
+        checkpoint_bytes(&dir, "v1", &old.to_bytes()).unwrap();
         let newer = folded_state(8);
-        checkpoint_version(&dir, "v1", &newer).unwrap();
+        checkpoint_bytes(&dir, "v1", &newer.to_bytes()).unwrap();
         assert_eq!(fs::read(state_path(&dir, "v1")).unwrap(), newer.to_bytes());
         assert_eq!(fs::read(prev_path(&dir, "v1")).unwrap(), old.to_bytes());
         fs::remove_dir_all(&dir).unwrap();
@@ -276,9 +272,9 @@ mod tests {
     fn corrupt_state_is_quarantined_and_prev_resumes() {
         let dir = tmp_dir("quarantine-fallback");
         let old = folded_state(3);
-        checkpoint_version(&dir, "v1", &old).unwrap();
+        checkpoint_bytes(&dir, "v1", &old.to_bytes()).unwrap();
         let newer = folded_state(4);
-        checkpoint_version(&dir, "v1", &newer).unwrap();
+        checkpoint_bytes(&dir, "v1", &newer.to_bytes()).unwrap();
         // Every seeded corruption of the newest state must quarantine it
         // and fall back to the intact previous generation.
         let clean = newer.to_bytes();
@@ -333,7 +329,7 @@ mod tests {
         // renamed in. The marker exists from the previous checkpoint.
         let dir = tmp_dir("prev-only");
         let old = folded_state(6);
-        checkpoint_version(&dir, "v1", &old).unwrap();
+        checkpoint_bytes(&dir, "v1", &old.to_bytes()).unwrap();
         fs::rename(state_path(&dir, "v1"), prev_path(&dir, "v1")).unwrap();
         let store = IncrementalStore::new();
         let report = resume_all(&dir, &store).unwrap();
@@ -355,7 +351,7 @@ mod tests {
         // marker. Resume must load it (the state file is complete).
         let dir = tmp_dir("stale-marker");
         let old = folded_state(3);
-        checkpoint_version(&dir, "v1", &old).unwrap();
+        checkpoint_bytes(&dir, "v1", &old.to_bytes()).unwrap();
         let mut newer = folded_state(3);
         let t = TrimmedTrace::from_indices([1u32, 2, 3, 4, 5, 1, 2]);
         let p = *newer.params();
@@ -378,9 +374,9 @@ mod tests {
     fn remove_checkpoint_frees_every_generation() {
         let dir = tmp_dir("remove");
         let a = folded_state(9);
-        checkpoint_version(&dir, "v1", &a).unwrap();
-        checkpoint_version(&dir, "v1", &folded_state(10)).unwrap();
-        checkpoint_version(&dir, "keep", &a).unwrap();
+        checkpoint_bytes(&dir, "v1", &a.to_bytes()).unwrap();
+        checkpoint_bytes(&dir, "v1", &folded_state(10).to_bytes()).unwrap();
+        checkpoint_bytes(&dir, "keep", &a.to_bytes()).unwrap();
         let freed = remove_checkpoint(&dir, "v1").unwrap();
         assert!(freed > 0);
         assert!(!state_path(&dir, "v1").exists());

@@ -1,10 +1,15 @@
 //! Environment-driven daemon configuration (`CLOP_SERVE_*`).
 
 use clop_core::incremental::AnalysisParams;
+use clop_util::{ClopError, ClopResult};
+use std::fmt::Debug;
+use std::ops::RangeBounds;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// All knobs of the serving daemon. Every field has a `CLOP_SERVE_*`
-/// environment variable; unset variables take the listed default.
+/// environment variable; unset or empty variables take the listed
+/// default, and any other value must parse and be in range.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// `CLOP_SERVE_LISTEN` — TCP listen address (default `127.0.0.1:0`,
@@ -22,11 +27,12 @@ pub struct ServeConfig {
     /// `CLOP_SERVE_CHECKPOINT_DIR` — if set, per-version state snapshots
     /// (`<version>.state` + `<version>.done` marker) live here.
     pub checkpoint_dir: Option<PathBuf>,
-    /// `CLOP_SERVE_CHECKPOINT_EVERY` — checkpoint a version after this
-    /// many folds since its last checkpoint (default 16).
+    /// `CLOP_SERVE_CHECKPOINT_EVERY` — checkpoint a version each time its
+    /// folded shard count reaches a multiple of this (default 16).
     pub checkpoint_every: u64,
-    /// `CLOP_SERVE_QUEUE_CAP` — admission queue bound (default 64); a
-    /// full queue answers `-RETRY` instead of buffering.
+    /// `CLOP_SERVE_QUEUE_CAP` — bound of the one admission queue (default
+    /// 64); when it is full, a socket `SHARD` answers `-RETRY`, durable or
+    /// not, instead of buffering.
     pub queue_cap: usize,
     /// `CLOP_SERVE_BATCH_MAX` — max shards a worker drains per wakeup
     /// (default 8).
@@ -60,10 +66,10 @@ pub struct ServeConfig {
     /// before the daemon degrades and starts shedding `QUERY` (default
     /// 200; 0 degrades immediately under pressure).
     pub shed_after_ms: u64,
-    /// `CLOP_SERVE_DURABLE_ACK` — when `1`, a `SHARD` command is
-    /// acknowledged only after the shard is folded (and, with a
-    /// checkpoint directory, checkpointed), so `+OK` is a durability
-    /// promise that survives `kill -9` (default 0: ack at enqueue).
+    /// `CLOP_SERVE_DURABLE_ACK` — `1` or `0` (default 0: ack at enqueue).
+    /// With `1` the fold worker answers a `SHARD` after its fold,
+    /// checkpoint (with a checkpoint directory) and GC pass, so `+OK` is
+    /// a durability promise that survives `kill -9`.
     pub durable_ack: bool,
     /// `CLOP_SERVE_MAX_VERSIONS` — evict least-recently-ingested
     /// versions beyond this count (default 0: unlimited). The actively
@@ -80,31 +86,58 @@ pub struct ServeConfig {
     /// `CLOP_SERVE_W_MIN` / `W_MAX` / `TRG_WINDOW` / `TRG_SLOTS` — the
     /// analysis parameters every version folds at.
     pub params: AnalysisParams,
-    /// `CLOP_SERVE_FOLD_DELAY_MS` — artificial delay per fold (default 0;
-    /// a test hook that makes backpressure observable on tiny inputs).
+    /// `CLOP_SERVE_FOLD_DELAY_MS` — artificial delay per fold (default 0):
+    /// the smoke scripts' lever to make backpressure observable on a
+    /// separate daemon process.
     pub fold_delay_ms: u64,
 }
 
-fn env_str(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|s| !s.is_empty())
-}
+/// Typed reads of `CLOP_SERVE_*` variables through a lookup (a map in
+/// tests, which must not set process variables). Unset and empty both
+/// take the default; any other value must parse and be in range.
+pub struct Vars<'a>(pub(crate) &'a dyn Fn(&str) -> Option<String>);
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    env_str(name)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+impl Vars<'_> {
+    /// The process environment.
+    pub fn env() -> Vars<'static> {
+        Vars(&|name| std::env::var(name).ok())
+    }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    env_str(name)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+    /// The raw value, `None` when unset or empty.
+    fn text(&self, name: &str) -> Option<String> {
+        (self.0)(name).filter(|s| !s.is_empty())
+    }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    env_str(name)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    /// A `T` in `range`.
+    pub fn get<T>(
+        &self,
+        name: &str,
+        default: T,
+        range: impl RangeBounds<T> + Debug,
+    ) -> ClopResult<T>
+    where
+        T: FromStr + PartialOrd,
+    {
+        let Some(raw) = self.text(name) else {
+            return Ok(default);
+        };
+        match raw.parse::<T>() {
+            Ok(v) if range.contains(&v) => Ok(v),
+            _ => {
+                let need = format!("need a {} in {:?}", std::any::type_name::<T>(), range);
+                Err(ClopError::config(name, raw, need))
+            }
+        }
+    }
+
+    /// A switch: exactly `0` or `1`; off when unset.
+    fn flag(&self, name: &str) -> ClopResult<bool> {
+        match self.text(name).as_deref() {
+            None | Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(other) => Err(ClopError::config(name, other, "need 0 or 1")),
+        }
+    }
 }
 
 impl Default for ServeConfig {
@@ -137,52 +170,52 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Read the configuration from `CLOP_SERVE_*` environment variables.
-    pub fn from_env() -> ServeConfig {
+    /// Read the configuration from `CLOP_SERVE_*` variables (pass
+    /// [`Vars::env`] for the process environment); a malformed or
+    /// out-of-range value is an error naming it.
+    pub fn from_env(v: &Vars) -> ClopResult<ServeConfig> {
         let d = ServeConfig::default();
-        let mut params = AnalysisParams::default();
-        params.affinity.w_min =
-            env_u64("CLOP_SERVE_W_MIN", u64::from(params.affinity.w_min)) as u32;
-        params.affinity.w_max =
-            env_u64("CLOP_SERVE_W_MAX", u64::from(params.affinity.w_max)) as u32;
-        params.trg.window = env_usize("CLOP_SERVE_TRG_WINDOW", params.trg.window);
-        params.trg.slots = env_usize("CLOP_SERVE_TRG_SLOTS", params.trg.slots);
-        ServeConfig {
-            listen: env_str("CLOP_SERVE_LISTEN").unwrap_or(d.listen),
-            port_file: env_str("CLOP_SERVE_PORT_FILE").map(PathBuf::from),
-            watch_dir: env_str("CLOP_SERVE_WATCH_DIR").map(PathBuf::from),
-            watch_poll_ms: env_u64("CLOP_SERVE_WATCH_POLL_MS", d.watch_poll_ms).max(1),
-            checkpoint_dir: env_str("CLOP_SERVE_CHECKPOINT_DIR").map(PathBuf::from),
-            checkpoint_every: env_u64("CLOP_SERVE_CHECKPOINT_EVERY", d.checkpoint_every).max(1),
-            queue_cap: env_usize("CLOP_SERVE_QUEUE_CAP", d.queue_cap).max(1),
-            batch_max: env_usize("CLOP_SERVE_BATCH_MAX", d.batch_max).max(1),
-            workers: env_usize("CLOP_SERVE_WORKERS", d.workers).max(1),
-            retry_ms: env_u64("CLOP_SERVE_RETRY_MS", d.retry_ms).max(1),
-            max_drop_frac: env_f64("CLOP_SERVE_MAX_DROP_FRAC", d.max_drop_frac).clamp(0.0, 1.0),
-            sync_timeout_ms: env_u64("CLOP_SERVE_SYNC_TIMEOUT_MS", d.sync_timeout_ms).max(1),
-            conn_read_timeout_ms: env_u64(
+        let mut params = d.params;
+        params.affinity.w_min = v.get("CLOP_SERVE_W_MIN", params.affinity.w_min, 0..)?;
+        params.affinity.w_max = v.get("CLOP_SERVE_W_MAX", params.affinity.w_max, 0..)?;
+        params.trg.window = v.get("CLOP_SERVE_TRG_WINDOW", params.trg.window, 0..)?;
+        params.trg.slots = v.get("CLOP_SERVE_TRG_SLOTS", params.trg.slots, 0..)?;
+        Ok(ServeConfig {
+            listen: v.text("CLOP_SERVE_LISTEN").unwrap_or(d.listen),
+            port_file: v.text("CLOP_SERVE_PORT_FILE").map(PathBuf::from),
+            watch_dir: v.text("CLOP_SERVE_WATCH_DIR").map(PathBuf::from),
+            watch_poll_ms: v.get("CLOP_SERVE_WATCH_POLL_MS", d.watch_poll_ms, 1..)?,
+            checkpoint_dir: v.text("CLOP_SERVE_CHECKPOINT_DIR").map(PathBuf::from),
+            checkpoint_every: v.get("CLOP_SERVE_CHECKPOINT_EVERY", d.checkpoint_every, 1..)?,
+            queue_cap: v.get("CLOP_SERVE_QUEUE_CAP", d.queue_cap, 1..)?,
+            batch_max: v.get("CLOP_SERVE_BATCH_MAX", d.batch_max, 1..)?,
+            workers: v.get("CLOP_SERVE_WORKERS", d.workers, 1..)?,
+            retry_ms: v.get("CLOP_SERVE_RETRY_MS", d.retry_ms, 1..)?,
+            max_drop_frac: v.get("CLOP_SERVE_MAX_DROP_FRAC", d.max_drop_frac, 0.0..=1.0)?,
+            sync_timeout_ms: v.get("CLOP_SERVE_SYNC_TIMEOUT_MS", d.sync_timeout_ms, 1..)?,
+            conn_read_timeout_ms: v.get(
                 "CLOP_SERVE_CONN_READ_TIMEOUT_MS",
                 d.conn_read_timeout_ms,
-            )
-            .max(1),
-            conn_write_timeout_ms: env_u64(
+                1..,
+            )?,
+            conn_write_timeout_ms: v.get(
                 "CLOP_SERVE_CONN_WRITE_TIMEOUT_MS",
                 d.conn_write_timeout_ms,
-            )
-            .max(1),
-            shed_frac: env_f64("CLOP_SERVE_SHED_FRAC", d.shed_frac).clamp(0.0, 1.0),
-            shed_after_ms: env_u64("CLOP_SERVE_SHED_AFTER_MS", d.shed_after_ms),
-            durable_ack: env_str("CLOP_SERVE_DURABLE_ACK").is_some_and(|v| v != "0"),
-            max_versions: env_usize("CLOP_SERVE_MAX_VERSIONS", d.max_versions),
-            max_state_bytes: env_u64("CLOP_SERVE_MAX_STATE_BYTES", d.max_state_bytes),
-            watch_max_attempts: env_u64(
+                1..,
+            )?,
+            shed_frac: v.get("CLOP_SERVE_SHED_FRAC", d.shed_frac, 0.0..=1.0)?,
+            shed_after_ms: v.get("CLOP_SERVE_SHED_AFTER_MS", d.shed_after_ms, 0..)?,
+            durable_ack: v.flag("CLOP_SERVE_DURABLE_ACK")?,
+            max_versions: v.get("CLOP_SERVE_MAX_VERSIONS", d.max_versions, 0..)?,
+            max_state_bytes: v.get("CLOP_SERVE_MAX_STATE_BYTES", d.max_state_bytes, 0..)?,
+            watch_max_attempts: v.get(
                 "CLOP_SERVE_WATCH_MAX_ATTEMPTS",
-                u64::from(d.watch_max_attempts),
-            )
-            .max(1) as u32,
+                d.watch_max_attempts,
+                1..,
+            )?,
             params,
-            fold_delay_ms: env_u64("CLOP_SERVE_FOLD_DELAY_MS", d.fold_delay_ms),
-        }
+            fold_delay_ms: v.get("CLOP_SERVE_FOLD_DELAY_MS", d.fold_delay_ms, 0..)?,
+        })
     }
 }
 
@@ -208,6 +241,73 @@ mod tests {
         assert_eq!(c.listen, "127.0.0.1:0");
         assert!(c.queue_cap >= 1 && c.batch_max >= 1 && c.workers >= 1);
         assert_eq!(c.max_drop_frac, 0.0);
+    }
+
+    fn parse(vars: &[(&str, &str)]) -> ClopResult<ServeConfig> {
+        let get = |name: &str| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        };
+        ServeConfig::from_env(&Vars(&get))
+    }
+
+    #[test]
+    fn unset_and_empty_variables_take_the_defaults() {
+        for vars in [
+            &[][..],
+            &[("CLOP_SERVE_QUEUE_CAP", ""), ("CLOP_SERVE_DURABLE_ACK", "")],
+        ] {
+            let c = parse(vars).unwrap();
+            let d = ServeConfig::default();
+            assert_eq!(
+                (c.queue_cap, c.workers, c.durable_ack),
+                (d.queue_cap, d.workers, false)
+            );
+            assert_eq!(c.params.affinity.w_max, d.params.affinity.w_max);
+        }
+    }
+
+    #[test]
+    fn valid_values_parse_exactly() {
+        let c = parse(&[
+            ("CLOP_SERVE_QUEUE_CAP", "3"),
+            ("CLOP_SERVE_W_MAX", "40"),
+            ("CLOP_SERVE_DURABLE_ACK", "1"),
+            ("CLOP_SERVE_SHED_FRAC", "0.5"),
+            ("CLOP_SERVE_CHECKPOINT_DIR", "/ckpt"),
+        ])
+        .unwrap();
+        assert_eq!((c.queue_cap, c.params.affinity.w_max), (3, 40));
+        assert!(c.durable_ack);
+        assert_eq!(c.shed_frac, 0.5);
+        assert_eq!(c.checkpoint_dir, Some(PathBuf::from("/ckpt")));
+        assert!(
+            !parse(&[("CLOP_SERVE_DURABLE_ACK", "0")])
+                .unwrap()
+                .durable_ack
+        );
+    }
+
+    #[test]
+    fn bad_values_are_errors_naming_the_variable_and_the_value() {
+        for (name, value) in [
+            ("CLOP_SERVE_DURABLE_ACK", "false"),
+            ("CLOP_SERVE_DURABLE_ACK", "yes"),
+            ("CLOP_SERVE_QUEUE_CAP", "6x"),
+            ("CLOP_SERVE_W_MAX", "4294967316"),
+            ("CLOP_SERVE_WORKERS", "0"),
+            ("CLOP_SERVE_RETRY_MS", "-5"),
+            ("CLOP_SERVE_SHED_FRAC", "1.5"),
+            ("CLOP_SERVE_MAX_DROP_FRAC", "NaN"),
+        ] {
+            match parse(&[(name, value)]) {
+                Err(ClopError::Config {
+                    variable, value: v, ..
+                }) => assert_eq!((variable.as_str(), v.as_str()), (name, value)),
+                other => panic!("{}={} gave {:?}", name, value, other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! PING                          -> +PONG
 //! HEALTH                        -> +HEALTH <ok|degraded> <depth> <cap>
 //! SHARD <version> <nbytes>      -> +OK <seq> | -RETRY <ms> | -ERR <reason>
-//!   (followed by <nbytes> of raw CLSH shard bytes)
+//!   (followed by <nbytes> of raw CLSH shard bytes; -RETRY in both ack
+//!    modes, a durable +OK only after the fold's checkpoint and GC pass)
 //! QUERY <version> <pipeline>    -> +ORDER <epoch> <n>  then n id lines
 //!                                  | -RETRY <ms> when degraded
 //! EPOCH <version>               -> +EPOCH <epoch> <shards>
@@ -19,11 +20,13 @@
 //! STOP                          -> +BYE                (drain, checkpoint, shut down)
 //! ```
 //!
-//! `-RETRY <ms>` is the backpressure answer: the admission queue is
-//! bounded (`queue_cap`), and rather than buffering without limit the
-//! daemon tells the client to re-send after the hint. Ingestion is
-//! idempotent per shard sequence number, so a client may always re-send
-//! on any doubt (timeouts, crashes, duplicated delivery).
+//! `-RETRY <ms>` is the backpressure answer: every admitted socket shard,
+//! durable or not, enters one bounded queue (`queue_cap`), and rather than
+//! buffering without limit the daemon tells the client to re-send after
+//! the hint. A durable `+OK`, sent by the fold worker, survives `kill -9`;
+//! acks in one batch share one checkpoint. Ingestion is idempotent per
+//! shard sequence number, so a client may always re-send on any doubt
+//! (timeouts, crashes, duplicated delivery).
 //!
 //! # Hostile peers
 //!
@@ -54,10 +57,13 @@
 //! that stays unreadable for `watch_max_attempts` sweeps is quarantined
 //! (skipped and counted) instead of being retried forever.
 //!
-//! # State GC
+//! # Checkpoint files and state GC
 //!
-//! With `max_versions`/`max_state_bytes` set, every fold is followed by
-//! an eviction pass: while either bound is exceeded, the
+//! A version's checkpoint is written (by a fold worker or by `STOP`) and
+//! removed (by GC) only while holding that version's state lock, so two
+//! snapshots of one version can never land out of order. With
+//! `max_versions`/`max_state_bytes` set, every fold is followed by an
+//! eviction pass: while either bound is exceeded, the
 //! least-recently-ingested version other than the one just folded is
 //! dropped from memory and its checkpoint files are deleted. The active
 //! version is never evicted, so its queries keep answering under any
@@ -68,15 +74,15 @@ use crate::admission::{admit, Admission};
 use crate::checkpoint;
 use crate::config::{valid_version, ServeConfig};
 use crate::stats::IngestStats;
-use clop_core::incremental::IncrementalStore;
+use clop_core::incremental::{IncrementalStore, VersionState};
 use clop_trace::ShardFile;
 use clop_util::{atomic_write, ClopError, ClopResult};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,6 +98,8 @@ const MAX_LINE_BYTES: usize = 256;
 struct Job {
     version: String,
     shard: ShardFile,
+    /// A durable `SHARD`'s connection, waiting for `Ok` or an `-ERR` reason.
+    ack: Option<Sender<Result<(), String>>>,
 }
 
 /// State shared by every daemon thread.
@@ -99,8 +107,6 @@ struct Shared {
     config: ServeConfig,
     store: IncrementalStore,
     stats: IngestStats,
-    /// Folds per version since its last checkpoint.
-    dirty: Mutex<HashMap<String, u64>>,
     /// Logical ingest clock; stamps `last_ingest` for the GC's LRU order.
     ingest_clock: AtomicU64,
     /// Per-version last-ingest stamps (which version is coldest?).
@@ -169,7 +175,6 @@ impl Server {
             config,
             store,
             stats: IngestStats::default(),
-            dirty: Mutex::new(HashMap::new()),
             ingest_clock: AtomicU64::new(0),
             last_ingest: Mutex::new(HashMap::new()),
             state_sizes: Mutex::new(HashMap::new()),
@@ -177,9 +182,6 @@ impl Server {
             degraded: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
-        // Seed the GC bookkeeping from what resume restored: restored
-        // versions are stamped in name order (their true ingest order died
-        // with the previous process) and sized from their snapshot files.
         IngestStats::add(
             &shared.stats.resume_quarantined,
             resume.quarantined.len() as u64,
@@ -188,6 +190,9 @@ impl Server {
             &shared.stats.resume_fallbacks,
             resume.fell_back.len() as u64,
         );
+        // Seed the GC bookkeeping from what resume restored: restored
+        // versions are stamped in name order (their true ingest order died
+        // with the previous process) and sized from their snapshot files.
         for v in &resume.restored {
             touch_ingest(&shared, v);
             if let Some(dir) = &shared.config.checkpoint_dir {
@@ -422,9 +427,9 @@ fn cmd_health(shared: &Arc<Shared>, out: &mut TcpStream) -> std::io::Result<()> 
     out.write_all(format!("+HEALTH {} {} {}\n", tier, depth, shared.config.queue_cap).as_bytes())
 }
 
-/// `SHARD`: read the payload, admit, enqueue (or fold durably) with
-/// backpressure. Returns `Ok(false)` when the connection is no longer in
-/// sync (bad framing) and must be closed.
+/// `SHARD`: read the payload, admit, enqueue with backpressure and, for
+/// a durable ack, wait for the worker's answer. Returns `Ok(false)` when
+/// the connection is no longer in sync (bad framing) and must be closed.
 fn cmd_shard(
     shared: &Arc<Shared>,
     tx: &SyncSender<Job>,
@@ -449,86 +454,47 @@ fn cmd_shard(
         out.write_all(b"-ERR bad version token\n")?;
         return Ok(true);
     }
-    match account(&shared.stats, admit(&payload, shared.config.max_drop_frac)) {
-        Ok(shard) if shared.config.durable_ack => {
-            let seq = shard.seq;
-            match fold_durably(shared, version, &shard) {
-                Ok(()) => out.write_all(format!("+OK {}\n", seq).as_bytes())?,
-                Err(reason) => out.write_all(format!("-ERR {}\n", reason).as_bytes())?,
-            }
-        }
-        Ok(shard) => {
-            let seq = shard.seq;
-            // The gauge rises before the send: a worker may pop the job
-            // (and decrement) the instant it lands, and the saturating
-            // decrement must never observe the gauge pre-increment.
-            IngestStats::bump(&shared.stats.queue_depth);
-            match tx.try_send(Job {
-                version: version.to_string(),
-                shard,
-            }) {
-                Ok(()) => {
-                    IngestStats::bump(&shared.stats.enqueued);
-                    touch_ingest(shared, version);
-                    out.write_all(format!("+OK {}\n", seq).as_bytes())?;
-                }
-                Err(TrySendError::Full(_)) => {
-                    IngestStats::dec(&shared.stats.queue_depth);
-                    IngestStats::bump(&shared.stats.retry_busy);
-                    out.write_all(format!("-RETRY {}\n", shared.config.retry_ms).as_bytes())?;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    IngestStats::dec(&shared.stats.queue_depth);
-                    out.write_all(b"-ERR shutting down\n")?;
-                }
-            }
-        }
-        Err(reason) => out.write_all(format!("-ERR {}\n", reason).as_bytes())?,
-    }
-    Ok(true)
-}
-
-/// The durable-ack ingest path: fold and (when a checkpoint directory is
-/// configured) checkpoint *before* answering, so `+OK` survives
-/// `kill -9`. Serialization and the checkpoint write stay inside the
-/// state lock: two concurrent folds of one version must not publish
-/// their snapshots out of order, or an acked shard could vanish from the
-/// file that resume reads.
-fn fold_durably(shared: &Arc<Shared>, version: &str, shard: &ShardFile) -> Result<(), String> {
-    IngestStats::bump(&shared.stats.enqueued);
-    touch_ingest(shared, version);
-    let arc = shared.store.state(version, shared.config.params);
-    let (settled, outcome) = {
-        let mut st = lock(&arc);
-        if shared.config.fold_delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(shared.config.fold_delay_ms));
-        }
-        match st.absorb_shard(shard) {
-            Ok(true) => {
-                let outcome = match &shared.config.checkpoint_dir {
-                    Some(dir) => {
-                        let bytes = st.to_bytes();
-                        lock(&shared.state_sizes).insert(version.to_string(), bytes.len() as u64);
-                        match checkpoint::checkpoint_bytes(dir, version, &bytes) {
-                            Ok(()) => {
-                                IngestStats::bump(&shared.stats.checkpoints);
-                                Ok(())
-                            }
-                            Err(e) => Err(format!("checkpoint failed; ack withheld: {}", e)),
-                        }
-                    }
-                    None => Ok(()),
-                };
-                (&shared.stats.folded, outcome)
-            }
-            Ok(false) => (&shared.stats.duplicates, Ok(())),
-            Err(e) => (&shared.stats.fold_errors, Err(format!("fold: {}", e))),
+    let shard = match account(&shared.stats, admit(&payload, shared.config.max_drop_frac)) {
+        Ok(shard) => shard,
+        Err(reason) => {
+            out.write_all(format!("-ERR {}\n", reason).as_bytes())?;
+            return Ok(true);
         }
     };
-    run_gc(shared, version);
-    // Settled only now, as in `fold_batch`.
-    IngestStats::bump(settled);
-    outcome
+    let seq = shard.seq;
+    let (ack, reply) = shared.config.durable_ack.then(mpsc::channel).unzip();
+    // The gauge rises before the send: a worker may pop the job (and
+    // decrement) the instant it lands, and the saturating decrement must
+    // never observe the gauge pre-increment.
+    IngestStats::bump(&shared.stats.queue_depth);
+    let job = Job {
+        version: version.to_string(),
+        shard,
+        ack,
+    };
+    let answer = match tx.try_send(job) {
+        Ok(()) => {
+            IngestStats::bump(&shared.stats.enqueued);
+            touch_ingest(shared, version);
+            match reply.map(|r| r.recv()) {
+                None | Some(Ok(Ok(()))) => format!("+OK {}\n", seq),
+                Some(Ok(Err(reason))) => format!("-ERR {}\n", reason),
+                // The queue was dropped with the job in it.
+                Some(Err(_)) => "-ERR shutting down\n".to_string(),
+            }
+        }
+        Err(TrySendError::Full(_)) => {
+            IngestStats::dec(&shared.stats.queue_depth);
+            IngestStats::bump(&shared.stats.retry_busy);
+            format!("-RETRY {}\n", shared.config.retry_ms)
+        }
+        Err(TrySendError::Disconnected(_)) => {
+            IngestStats::dec(&shared.stats.queue_depth);
+            "-ERR shutting down\n".to_string()
+        }
+    };
+    out.write_all(answer.as_bytes())?;
+    Ok(true)
 }
 
 /// `QUERY`: run a named pipeline against the current fold — unless
@@ -618,11 +584,7 @@ fn cmd_stop(shared: &Arc<Shared>, out: &mut TcpStream) -> std::io::Result<()> {
     let drained = drain(shared);
     if let Some(dir) = &shared.config.checkpoint_dir {
         for (version, arc) in shared.store.states() {
-            let snapshot = lock(&arc).to_bytes();
-            match checkpoint::checkpoint_bytes(dir, &version, &snapshot) {
-                Ok(()) => IngestStats::bump(&shared.stats.checkpoints),
-                Err(e) => eprintln!("clop-serve: checkpoint of {} failed: {}", version, e),
-            }
+            let _ = write_checkpoint(shared, dir, &version, &lock(&arc));
         }
     }
     shared.shutdown.store(true, Ordering::SeqCst);
@@ -633,13 +595,15 @@ fn cmd_stop(shared: &Arc<Shared>, out: &mut TcpStream) -> std::io::Result<()> {
     }
 }
 
-/// Fold worker: drain the queue in batches, absorb into per-version
-/// state, checkpoint when a version accumulates `checkpoint_every` folds.
+/// Fold worker: drain the queue in batches of up to `batch_max` jobs. A
+/// batch is drained under the receiver lock that received its first job:
+/// the other workers cycle on that lock in `recv_timeout`, and the unfair
+/// mutex could starve a worker that came back for it holding a job.
 fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
     loop {
-        let first = {
+        let batch = {
             let guard = lock(rx);
-            match guard.recv_timeout(Duration::from_millis(50)) {
+            let first = match guard.recv_timeout(Duration::from_millis(50)) {
                 Ok(job) => job,
                 Err(RecvTimeoutError::Timeout) => {
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -648,94 +612,115 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
-            }
+            };
+            let rest = guard
+                .try_iter()
+                .take(shared.config.batch_max.saturating_sub(1));
+            std::iter::once(first).chain(rest).collect::<Vec<Job>>()
         };
-        IngestStats::dec(&shared.stats.queue_depth);
-        let mut batch = vec![first];
-        {
-            let guard = lock(rx);
-            while batch.len() < shared.config.batch_max {
-                match guard.try_recv() {
-                    Ok(job) => {
-                        IngestStats::dec(&shared.stats.queue_depth);
-                        batch.push(job);
-                    }
-                    Err(_) => break,
-                }
-            }
+        for _ in &batch {
+            IngestStats::dec(&shared.stats.queue_depth);
         }
         fold_batch(shared, batch);
     }
 }
 
 /// Absorb one drained batch, grouped by version so each version's state
-/// lock is taken once per batch. Every folded version runs a GC pass
-/// afterwards with itself as the protected active version. A group's
-/// shards are counted as settled only after its checkpoint write and GC
-/// pass: `SYNC` waits on those counters.
+/// lock is taken once per batch.
 fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let mut groups: Vec<(String, Vec<ShardFile>)> = Vec::new();
+    let mut groups: Vec<(String, Vec<Job>)> = Vec::new();
     for job in batch {
         match groups.iter_mut().find(|(v, _)| *v == job.version) {
-            Some((_, shards)) => shards.push(job.shard),
-            None => groups.push((job.version, vec![job.shard])),
+            Some((_, jobs)) => jobs.push(job),
+            None => groups.push((job.version.clone(), vec![job])),
         }
     }
-    for (version, shards) in groups {
-        let arc = shared.store.state(&version, shared.config.params);
-        touch_ingest(shared, &version);
-        let mut snapshot: Option<Vec<u8>> = None;
-        let (mut folded, mut duplicates, mut fold_errors) = (0u64, 0u64, 0u64);
-        {
-            let mut st = lock(&arc);
-            for shard in &shards {
+    for (version, jobs) in groups {
+        fold_group(shared, &version, jobs);
+    }
+}
+
+/// Fold one version's jobs under its state lock, checkpoint when the folds
+/// cross a multiple of `checkpoint_every` or a job awaits a durable ack,
+/// and run a GC pass. Only then are the jobs settled and durable ones
+/// answered: `SYNC` and a durable `+OK` both promise what is on disk.
+fn fold_group(shared: &Arc<Shared>, version: &str, jobs: Vec<Job>) {
+    let arc = shared.store.state(version, shared.config.params);
+    touch_ingest(shared, version);
+    let (outcomes, saved) = {
+        let mut st = lock(&arc);
+        let before = st.shards_absorbed();
+        let outcomes: Vec<ClopResult<bool>> = jobs
+            .iter()
+            .map(|job| {
                 if shared.config.fold_delay_ms > 0 {
                     std::thread::sleep(Duration::from_millis(shared.config.fold_delay_ms));
                 }
-                match st.absorb_shard(shard) {
-                    Ok(true) => {
-                        folded += 1;
-                        if shared.config.checkpoint_dir.is_some() {
-                            let mut dirty = lock(&shared.dirty);
-                            let n = dirty.entry(version.clone()).or_insert(0);
-                            *n += 1;
-                            if *n >= shared.config.checkpoint_every {
-                                *n = 0;
-                                drop(dirty);
-                                snapshot = Some(st.to_bytes());
-                            }
-                        }
-                    }
-                    Ok(false) => duplicates += 1,
-                    Err(e) => {
-                        // Unreachable when deltas are measured at this
-                        // state's own parameters; counted so the SYNC
-                        // barrier still settles.
-                        fold_errors += 1;
-                        eprintln!("clop-serve: fold of shard into {} failed: {}", version, e);
-                    }
+                st.absorb_shard(&job.shard)
+            })
+            .collect();
+        let every = shared.config.checkpoint_every.max(1);
+        let due =
+            jobs.iter().any(|j| j.ack.is_some()) || st.shards_absorbed() / every > before / every;
+        let saved = match &shared.config.checkpoint_dir {
+            Some(dir) if due => write_checkpoint(shared, dir, version, &st),
+            _ => {
+                // The byte-bound GC needs a size estimate between
+                // checkpoints too.
+                if shared.config.max_state_bytes > 0 {
+                    lock(&shared.state_sizes)
+                        .insert(version.to_string(), st.to_bytes().len() as u64);
                 }
+                Ok(())
             }
-            // The byte-bound GC needs a size estimate even between
-            // checkpoints; serialize only when that bound is active and no
-            // checkpoint snapshot was taken this batch.
-            if shared.config.max_state_bytes > 0 && snapshot.is_none() {
-                lock(&shared.state_sizes).insert(version.clone(), st.to_bytes().len() as u64);
+        };
+        (outcomes, saved)
+    };
+    run_gc(shared, version);
+    let mut answers = Vec::with_capacity(jobs.len());
+    for outcome in outcomes {
+        let (settled, answer) = match outcome {
+            Ok(true) => (&shared.stats.folded, saved.clone()),
+            Ok(false) => (&shared.stats.duplicates, saved.clone()),
+            Err(e) => {
+                // Unreachable when deltas are measured at this state's own
+                // parameters; counted so the SYNC barrier still settles.
+                eprintln!("clop-serve: fold of shard into {} failed: {}", version, e);
+                (&shared.stats.fold_errors, Err(format!("fold: {}", e)))
             }
+        };
+        IngestStats::bump(settled);
+        answers.push(answer);
+    }
+    for (job, answer) in jobs.into_iter().zip(answers) {
+        if let Some(ack) = job.ack {
+            // A connection that hung up no longer needs its answer.
+            let _ = ack.send(answer);
         }
-        if let Some(bytes) = &snapshot {
-            lock(&shared.state_sizes).insert(version.clone(), bytes.len() as u64);
-            if let Some(dir) = &shared.config.checkpoint_dir {
-                match checkpoint::checkpoint_bytes(dir, &version, bytes) {
-                    Ok(()) => IngestStats::bump(&shared.stats.checkpoints),
-                    Err(e) => eprintln!("clop-serve: checkpoint of {} failed: {}", version, e),
-                }
-            }
+    }
+}
+
+/// Write `version`'s checkpoint: the daemon's one checkpoint writer. It
+/// takes the held state guard, so the snapshot lands under its version's
+/// lock and two snapshots of one version never land out of order. `Err`
+/// is the reason a durable ack is withheld.
+fn write_checkpoint(
+    shared: &Shared,
+    dir: &Path,
+    version: &str,
+    st: &MutexGuard<'_, VersionState>,
+) -> Result<(), String> {
+    let bytes = st.to_bytes();
+    lock(&shared.state_sizes).insert(version.to_string(), bytes.len() as u64);
+    match checkpoint::checkpoint_bytes(dir, version, &bytes) {
+        Ok(()) => {
+            IngestStats::bump(&shared.stats.checkpoints);
+            Ok(())
         }
-        run_gc(shared, &version);
-        IngestStats::add(&shared.stats.folded, folded);
-        IngestStats::add(&shared.stats.duplicates, duplicates);
-        IngestStats::add(&shared.stats.fold_errors, fold_errors);
+        Err(e) => {
+            eprintln!("clop-serve: checkpoint of {} failed: {}", version, e);
+            Err(format!("checkpoint failed; ack withheld: {}", e))
+        }
     }
 }
 
@@ -775,10 +760,15 @@ fn run_gc(shared: &Arc<Shared>, active: &str) {
         let Some(victim) = victim else {
             return; // only the active version remains; never evict it
         };
-        shared.store.remove_version(&victim);
+        // The victim's files go under its lock, never mid-checkpoint.
+        let states = shared.store.states();
+        let held = states.iter().find(|(v, _)| *v == victim);
+        let _guard = held.map(|(_, arc)| lock(arc));
+        if shared.store.remove_version(&victim) == 0 {
+            continue; // a concurrent pass evicted it first
+        }
         let mut freed = lock(&shared.state_sizes).remove(&victim).unwrap_or(0);
         lock(&shared.last_ingest).remove(&victim);
-        lock(&shared.dirty).remove(&victim);
         if let Some(dir) = &shared.config.checkpoint_dir {
             match checkpoint::remove_checkpoint(dir, &victim) {
                 Ok(disk) => freed = freed.max(disk),
@@ -864,6 +854,7 @@ fn scan_watch_dir(
                         .send(Job {
                             version: version.clone(),
                             shard,
+                            ack: None,
                         })
                         .is_err()
                     {
@@ -1002,6 +993,28 @@ mod tests {
         }
     }
 
+    /// Poll the daemon's counters until `done` holds, for at most 30 s.
+    fn wait_for(server: &Server, what: &str, done: impl Fn(&IngestStats) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done(server.stats()) {
+            assert!(Instant::now() < deadline, "timed out waiting for {}", what);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn load(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
+    /// The newest checkpoint of `version` on disk, as resume picks it:
+    /// `.state`, or `.state.prev` while a rotation is in flight.
+    fn newest_checkpoint(dir: &Path, version: &str) -> VersionState {
+        let bytes = fs::read(checkpoint::state_path(dir, version))
+            .or_else(|_| fs::read(checkpoint::prev_path(dir, version)))
+            .unwrap();
+        VersionState::from_bytes(&bytes).unwrap()
+    }
+
     #[test]
     fn end_to_end_stream_query_matches_batch() {
         let params = AnalysisParams::default();
@@ -1085,34 +1098,138 @@ mod tests {
 
     #[test]
     fn full_queue_answers_retry_and_still_folds_everything() {
+        // The test holds the version's lock: the one worker blocks on the
+        // first shard, and the second fills the 1-slot queue.
         let params = AnalysisParams::default();
         let config = ServeConfig {
             params,
             workers: 1,
             queue_cap: 1,
             batch_max: 1,
-            fold_delay_ms: 30,
             retry_ms: 5,
             ..ServeConfig::default()
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(22, 900, 11);
         let files = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
+        let gate = server.shared.store.state("v", params);
+        let held = lock(&gate);
         let mut c = Client::connect(server.addr());
-        for f in &files {
+        assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
+        wait_for(&server, "the worker to take shard 0", |s| {
+            load(&s.queue_depth) == 0
+        });
+        assert!(c.send_shard("v", &files[1]).starts_with("+OK"));
+        assert_eq!(c.send_shard("v", &files[2]), "-RETRY 5");
+        assert_eq!(load(&server.stats().retry_busy), 1);
+        drop(held);
+        for f in &files[2..] {
             assert!(c.send_shard_retrying("v", f).starts_with("+OK"));
         }
         assert!(c.command("SYNC").starts_with("+SYNCED"));
-        assert!(
-            server.stats().retry_busy.load(Ordering::Relaxed) > 0,
-            "a 1-slot queue with a 30ms fold must push back"
-        );
+        assert_eq!(load(&server.stats().folded), files.len() as u64);
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+    }
+
+    #[test]
+    fn durable_shards_share_the_bounded_queue() {
+        // Two durable SHARDs in flight while the test holds the version's
+        // lock: the worker blocks on one and the other fills the 1-slot
+        // queue, so a third answers -RETRY instead of folding on its own.
+        let params = AnalysisParams::default();
+        let config = ServeConfig {
+            params,
+            durable_ack: true,
+            workers: 1,
+            queue_cap: 1,
+            batch_max: 1,
+            retry_ms: 5,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let t = random_trace(37, 600, 10);
+        let files = split_shards_columnar(&t, 3, params.affinity.w_max, params.trg.window);
+        let gate = server.shared.store.state("dq", params);
+        let held = lock(&gate);
+        let addr = server.addr();
+        let spawn_send = |f: &Vec<u8>| {
+            let f = f.clone();
+            std::thread::spawn(move || Client::connect(addr).send_shard("dq", &f))
+        };
+        let first = spawn_send(&files[0]);
+        wait_for(&server, "the worker to take shard 0", |s| {
+            load(&s.enqueued) == 1 && load(&s.queue_depth) == 0
+        });
+        let second = spawn_send(&files[1]);
+        wait_for(&server, "shard 1 to be queued", |s| load(&s.enqueued) == 2);
+        let mut c = Client::connect(addr);
+        // Bounded: a SHARD that skips the queue would block on the lock.
+        c.out
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(c.send_shard("dq", &files[2]), "-RETRY 5");
+        c.out.set_read_timeout(None).unwrap();
+        drop(held);
+        assert!(first.join().unwrap().starts_with("+OK"));
+        assert!(second.join().unwrap().starts_with("+OK"));
+        assert!(c.send_shard_retrying("dq", &files[2]).starts_with("+OK"));
+        assert_eq!(load(&server.stats().retry_busy), 1);
+        assert_eq!(load(&server.stats().folded), files.len() as u64);
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+    }
+
+    #[test]
+    fn concurrent_durable_acks_are_in_the_newest_checkpoint() {
+        // Two connections stream one version durably into two workers.
+        // Every ack must already be in the newest snapshot on disk, however
+        // the two workers' checkpoint writes interleave.
+        let params = AnalysisParams::default();
+        let ckpt = std::env::temp_dir().join(format!("clop-serve-acks-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&ckpt);
+        let config = ServeConfig {
+            params,
+            durable_ack: true,
+            workers: 2,
+            checkpoint_dir: Some(ckpt.clone()),
+            checkpoint_every: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let t = random_trace(38, 2400, 16);
+        let files = split_shards_columnar(&t, 12, params.affinity.w_max, params.trg.window);
+        let streams: Vec<_> = (0..2)
+            .map(|k| {
+                let (addr, dir) = (server.addr(), ckpt.clone());
+                let mine: Vec<Vec<u8>> = files.iter().skip(k).step_by(2).cloned().collect();
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr);
+                    let mut acked = Vec::new();
+                    for f in &mine {
+                        let resp = c.send_shard_retrying("cv", f);
+                        acked.push(resp.strip_prefix("+OK ").unwrap().parse::<u64>().unwrap());
+                        let newest = newest_checkpoint(&dir, "cv");
+                        for &seq in &acked {
+                            assert!(newest.contains(seq), "acked shard {} not on disk", seq);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for s in streams {
+            s.join().unwrap();
+        }
+        let mut c = Client::connect(server.addr());
+        assert!(c.command("SYNC").starts_with("+SYNCED"));
+        assert_eq!(load(&server.stats().folded), files.len() as u64);
         assert_eq!(
-            server.stats().folded.load(Ordering::Relaxed),
-            files.len() as u64
+            c.query("cv", "function-trg"),
+            batch_order(&t, "function-trg", &params)
         );
         assert_eq!(c.command("STOP"), "+BYE");
         server.join();
+        fs::remove_dir_all(&ckpt).unwrap();
     }
 
     #[test]
@@ -1206,7 +1323,6 @@ mod tests {
             workers: 1,
             queue_cap: 8,
             batch_max: 1,
-            fold_delay_ms: 60,
             retry_ms: 5,
             shed_frac: 0.25, // pressure at 2 queued jobs
             shed_after_ms: 0,
@@ -1217,23 +1333,29 @@ mod tests {
         let files = split_shards_columnar(&t, 7, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
         assert_eq!(c.command("HEALTH"), "+HEALTH ok 0 8");
-        // Flood the queue: one slow worker, seven shards.
-        for f in &files {
-            assert!(c.send_shard_retrying("v", f).starts_with("+OK"));
+        // The test holds the version's lock: the worker blocks on the
+        // first shard and the other six stay queued.
+        let gate = server.shared.store.state("v", params);
+        let held = lock(&gate);
+        assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
+        wait_for(&server, "the worker to take shard 0", |s| {
+            load(&s.queue_depth) == 0
+        });
+        for f in &files[1..3] {
+            assert!(c.send_shard("v", f).starts_with("+OK"));
         }
-        // Under pressure: QUERY is shed with -RETRY, SHARD still ingests
-        // (every send above was eventually +OK), HEALTH tells the truth.
-        let health = c.command("HEALTH");
-        assert!(
-            health.starts_with("+HEALTH degraded "),
-            "expected degraded tier, got {}",
-            health
-        );
+        // Under pressure: QUERY is shed with -RETRY, SHARD still ingests,
+        // HEALTH tells the truth.
+        assert_eq!(c.command("HEALTH"), "+HEALTH degraded 2 8");
         let q = c.command("QUERY v function-affinity");
         assert!(q.starts_with("-RETRY "), "expected shed, got {}", q);
-        assert!(server.stats().shed_queries.load(Ordering::Relaxed) >= 1);
-        assert!(server.stats().degraded_entered.load(Ordering::Relaxed) >= 1);
+        for f in &files[3..] {
+            assert!(c.send_shard("v", f).starts_with("+OK"));
+        }
+        assert_eq!(load(&server.stats().shed_queries), 1);
+        assert_eq!(load(&server.stats().degraded_entered), 1);
         // After the drain, the tier recovers and queries flow again.
+        drop(held);
         assert!(c.command("SYNC").starts_with("+SYNCED"));
         assert_eq!(c.command("HEALTH"), "+HEALTH ok 0 8");
         assert_eq!(
@@ -1421,7 +1543,6 @@ mod tests {
             params,
             workers: 1,
             batch_max: 1,
-            fold_delay_ms: 400,
             sync_timeout_ms: 50,
             ..ServeConfig::default()
         };
@@ -1429,13 +1550,16 @@ mod tests {
         let t = random_trace(35, 300, 7);
         let files = split_shards_columnar(&t, 1, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
+        // The test holds the version's lock, so the fold cannot settle
+        // within SYNC's 50ms budget.
+        let gate = server.shared.store.state("v", params);
+        let held = lock(&gate);
         assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
         assert_eq!(c.command("SYNC"), "-ERR sync timed out");
-        // Wait for the fold to settle; STOP's drain shares the same
-        // (50ms) budget, so accept either a clean or a timed-out close.
-        std::thread::sleep(Duration::from_millis(500));
-        let bye = c.command("STOP");
-        assert!(bye == "+BYE" || bye.starts_with("-ERR drain"));
+        drop(held);
+        wait_for(&server, "the fold to settle", |s| s.settled() == 1);
+        assert_eq!(c.command("SYNC"), "+SYNCED 1");
+        assert_eq!(c.command("STOP"), "+BYE");
         server.join();
     }
 

@@ -24,7 +24,8 @@
 //! the full request and rejected it; resending the same bytes cannot
 //! succeed.
 
-use clop_util::Rng;
+use crate::config::Vars;
+use clop_util::{ClopResult, Rng};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -70,28 +71,25 @@ impl Default for SessionConfig {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 impl SessionConfig {
-    /// Read the configuration from `CLOP_SERVE_*` environment variables.
-    pub fn from_env() -> SessionConfig {
+    /// Read the configuration from `CLOP_SERVE_*` variables (pass
+    /// [`Vars::env`] for the process environment); a malformed or
+    /// out-of-range value is an error naming it.
+    pub fn from_env(v: &Vars) -> ClopResult<SessionConfig> {
         let d = SessionConfig::default();
-        SessionConfig {
-            connect_timeout_ms: env_u64("CLOP_SERVE_CONNECT_TIMEOUT_MS", d.connect_timeout_ms)
-                .max(1),
-            op_timeout_ms: env_u64("CLOP_SERVE_OP_TIMEOUT_MS", d.op_timeout_ms).max(1),
-            max_attempts: env_u64("CLOP_SERVE_MAX_ATTEMPTS", u64::from(d.max_attempts)).max(1)
-                as u32,
-            backoff_base_ms: env_u64("CLOP_SERVE_BACKOFF_BASE_MS", d.backoff_base_ms).max(1),
-            backoff_cap_ms: env_u64("CLOP_SERVE_BACKOFF_CAP_MS", d.backoff_cap_ms).max(1),
-            retry_budget_ms: env_u64("CLOP_SERVE_RETRY_BUDGET_MS", d.retry_budget_ms),
-            jitter_seed: env_u64("CLOP_SERVE_JITTER_SEED", 0),
-        }
+        Ok(SessionConfig {
+            connect_timeout_ms: v.get(
+                "CLOP_SERVE_CONNECT_TIMEOUT_MS",
+                d.connect_timeout_ms,
+                1..,
+            )?,
+            op_timeout_ms: v.get("CLOP_SERVE_OP_TIMEOUT_MS", d.op_timeout_ms, 1..)?,
+            max_attempts: v.get("CLOP_SERVE_MAX_ATTEMPTS", d.max_attempts, 1..)?,
+            backoff_base_ms: v.get("CLOP_SERVE_BACKOFF_BASE_MS", d.backoff_base_ms, 1..)?,
+            backoff_cap_ms: v.get("CLOP_SERVE_BACKOFF_CAP_MS", d.backoff_cap_ms, 1..)?,
+            retry_budget_ms: v.get("CLOP_SERVE_RETRY_BUDGET_MS", d.retry_budget_ms, 0..)?,
+            jitter_seed: v.get("CLOP_SERVE_JITTER_SEED", d.jitter_seed, 0..)?,
+        })
     }
 }
 
@@ -229,11 +227,9 @@ impl Session {
     /// Run one idempotent request: send `line` (+ optional payload), read
     /// the response head. Reconnects and resends on transport failure,
     /// sleeps on `-RETRY`, returns `-ERR` as [`SessionError::Server`].
-    fn request(
-        &mut self,
-        line: &str,
-        payload: Option<&[u8]>,
-    ) -> Result<(String, bool), SessionError> {
+    /// After a reconnect-and-resend the head is from the fresh connection,
+    /// so any body that follows is in sync either way.
+    fn request(&mut self, line: &str, payload: Option<&[u8]>) -> Result<String, SessionError> {
         let mut attempt = 0u32;
         let mut retry_spent_ms = 0u64;
         loop {
@@ -268,7 +264,7 @@ impl Session {
                     }
                     // A fresh request must start from a drained connection;
                     // the caller consumes any body lines before returning.
-                    return Ok((resp, attempt > 0));
+                    return Ok(resp);
                 }
                 Err(e) => {
                     // The connection is in an unknown state (a frame may be
@@ -335,7 +331,7 @@ impl Session {
             // A garbled `+OK` head is also wire corruption: the send is
             // idempotent, so resending on it is sound too.
             let reason = match self.request(&line, Some(bytes)) {
-                Ok((head, _)) => match head.strip_prefix("+OK") {
+                Ok(head) => match head.strip_prefix("+OK") {
                     Some(rest) => return Ok(rest.trim().parse::<u64>().unwrap_or(0)),
                     None => format!("garbled response head {:?}", head),
                 },
@@ -363,10 +359,7 @@ impl Session {
 
     /// `QUERY <version> <pipeline>`: the layout order at the current fold.
     pub fn query(&mut self, version: &str, pipeline: &str) -> Result<Vec<u32>, SessionError> {
-        let (head, retried) = self.request(&format!("QUERY {} {}", version, pipeline), None)?;
-        // After a reconnect-and-resend the head is from the fresh
-        // connection, so the body is in sync either way.
-        let _ = retried;
+        let head = self.request(&format!("QUERY {} {}", version, pipeline), None)?;
         let n: usize = head
             .strip_prefix("+ORDER ")
             .and_then(|rest| rest.split_whitespace().nth(1))
@@ -384,7 +377,7 @@ impl Session {
 
     /// `SYNC`: barrier over the admission queue; returns the settled count.
     pub fn sync(&mut self) -> Result<u64, SessionError> {
-        let (head, _) = self.request("SYNC", None)?;
+        let head = self.request("SYNC", None)?;
         head.strip_prefix("+SYNCED ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| SessionError::Protocol(format!("expected +SYNCED, got {:?}", head)))
@@ -392,7 +385,7 @@ impl Session {
 
     /// `STATS`: every daemon counter as `(name, value)` pairs.
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>, SessionError> {
-        let (head, _) = self.request("STATS", None)?;
+        let head = self.request("STATS", None)?;
         let k: usize = head
             .strip_prefix("+STATS ")
             .and_then(|s| s.parse().ok())
@@ -413,7 +406,7 @@ impl Session {
     /// `HEALTH`: the daemon's degradation tier and queue occupancy,
     /// `(state, depth, cap)`.
     pub fn health(&mut self) -> Result<(String, u64, u64), SessionError> {
-        let (head, _) = self.request("HEALTH", None)?;
+        let head = self.request("HEALTH", None)?;
         let rest = head
             .strip_prefix("+HEALTH ")
             .ok_or_else(|| SessionError::Protocol(format!("expected +HEALTH, got {:?}", head)))?;
@@ -434,8 +427,7 @@ impl Session {
     /// Any single-line command (`PING`, `EPOCH v`, `STOP`, ...): returns
     /// the `+` response line.
     pub fn command(&mut self, cmd: &str) -> Result<String, SessionError> {
-        let (head, _) = self.request(cmd, None)?;
-        Ok(head)
+        self.request(cmd, None)
     }
 }
 
@@ -463,6 +455,24 @@ mod tests {
         // The cap binds from attempt 4 on (10·2^4 = 160).
         let d = backoff_delay(&cfg, 30, &mut a);
         assert!(d.as_millis() as u64 <= 160);
+    }
+
+    #[test]
+    fn session_variables_parse_exactly_or_fail_naming_themselves() {
+        let parse = |name: &'static str, value: &'static str| {
+            let get = move |n: &str| (n == name).then(|| value.to_string());
+            SessionConfig::from_env(&Vars(&get))
+        };
+        let cfg = parse("CLOP_SERVE_JITTER_SEED", "7").unwrap();
+        assert_eq!((cfg.jitter_seed, cfg.max_attempts), (7, 8));
+        for (name, value) in [
+            ("CLOP_SERVE_MAX_ATTEMPTS", "0"),
+            ("CLOP_SERVE_MAX_ATTEMPTS", "4294967296"),
+            ("CLOP_SERVE_OP_TIMEOUT_MS", "5s"),
+        ] {
+            let err = parse(name, value).unwrap_err().to_string();
+            assert!(err.contains(name) && err.contains(value), "{}", err);
+        }
     }
 
     #[test]

@@ -8,16 +8,61 @@ use clop_serve::{ServeConfig, Server};
 use clop_util::fault::{corrupt_text, seeded_corruptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn start_server() -> Server {
+    start_with(ServeConfig::default())
+}
+
+fn start_with(config: ServeConfig) -> Server {
     Server::start(ServeConfig {
         // Short connection deadlines so stall tests finish quickly.
         conn_read_timeout_ms: 400,
         conn_write_timeout_ms: 400,
-        ..ServeConfig::default()
+        ..config
     })
     .unwrap()
+}
+
+/// The daemon configurations the SHARD-frame cases run against: acks at
+/// enqueue, and durable acks that a fold worker answers after a
+/// checkpoint into a temporary directory (returned for clean-up).
+fn shard_frame_daemons(tag: &str) -> Vec<(Server, Option<PathBuf>)> {
+    let dir = std::env::temp_dir().join(format!("clop-fuzz-{}-{}", tag, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = ServeConfig {
+        durable_ack: true,
+        checkpoint_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    vec![(start_server(), None), (start_with(durable), Some(dir))]
+}
+
+fn stop(server: Server, checkpoint_dir: Option<PathBuf>) {
+    let mut c = connect(server.addr());
+    c.write_all(b"STOP\n").unwrap();
+    server.join();
+    if let Some(dir) = checkpoint_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// One clean SHARD on a fresh connection must still be acknowledged — in
+/// durable mode by the fold worker, after a checkpoint.
+fn assert_acks_a_clean_shard(addr: SocketAddr) {
+    let t = clop_trace::TrimmedTrace::from_indices((0..300u32).map(|i| i * 5 % 11));
+    let params = clop_core::incremental::AnalysisParams::default();
+    let files = clop_trace::split_shards_columnar(&t, 1, params.affinity.w_max, params.trg.window);
+    let s = connect(addr);
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut out = s;
+    out.write_all(format!("SHARD v {}\n", files[0].len()).as_bytes())
+        .unwrap();
+    out.write_all(&files[0]).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("+OK "), "clean shard answered {:?}", line);
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -114,9 +159,16 @@ fn mangled_command_lines_answer_err_or_disconnect_never_hang() {
 
 #[test]
 fn truncated_and_oversized_shard_frames_are_survivable() {
-    let server = start_server();
-    let addr = server.addr();
+    for (server, checkpoint_dir) in shard_frame_daemons("frames") {
+        hostile_shard_frames(server.addr());
+        assert_acks_a_clean_shard(server.addr());
+        stop(server, checkpoint_dir);
+    }
+}
 
+/// Torn, stalled, oversized and unterminated SHARD frames: each answers
+/// `-ERR` or disconnects, and the daemon keeps answering `PING`.
+fn hostile_shard_frames(addr: SocketAddr) {
     // Truncated payload then clean close: the daemon's read_exact fails,
     // the connection dies, nothing else is harmed.
     {
@@ -173,10 +225,6 @@ fn truncated_and_oversized_shard_frames_are_survivable() {
         assert_eq!(resp, "-ERR line too long");
     }
     assert_alive(addr);
-
-    let mut c = connect(addr);
-    c.write_all(b"STOP\n").unwrap();
-    server.join();
 }
 
 #[test]

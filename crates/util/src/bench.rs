@@ -10,9 +10,12 @@
 //! passes is accepted; any other flag, a bad worker count or a second
 //! filter prints the usage and exits with status 2.
 //!
-//! Two environment variables adjust the harness without touching the
+//! Three environment variables adjust the harness without touching the
 //! targets:
 //!
+//! - `CLOP_BENCH_JOBS=<N>`: the worker count when no `--jobs` is given
+//!   (default: the machine's parallelism). It is validated like `--jobs`:
+//!   anything but an integer `N >= 1` prints the usage and exits with 2.
 //! - `CLOP_BENCH_JSON=<path>`: besides the human-readable lines, append
 //!   every measurement as a record to a machine-readable JSON file
 //!   (`{"benchmarks": [{"name", "ns_per_iter", "melem_per_s"?}, ...]}`),
@@ -70,11 +73,7 @@ impl Default for Runner {
             json_path: std::env::var("CLOP_BENCH_JSON")
                 .ok()
                 .filter(|p| !p.is_empty()),
-            jobs: std::env::var("CLOP_BENCH_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(crate::pool::default_jobs),
+            jobs: crate::pool::default_jobs(),
             records: RefCell::new(Vec::new()),
         }
     }
@@ -98,11 +97,23 @@ struct Args {
     jobs: Option<usize>,
 }
 
+/// A worker count: an integer `N ≥ 1`.
+fn parse_jobs(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad worker count `{}`: need an integer >= 1", v)),
+    }
+}
+
 /// Parse a bench target's arguments: `--bench` (which cargo passes), a
 /// worker count `N ≥ 1` as `--jobs N`, `--jobs=N` or `-j N`, and at most
-/// one filter. Anything else is an error naming the argument.
-fn parse_args(args: &[String]) -> Result<Args, String> {
+/// one filter, over the `CLOP_BENCH_JOBS` value `env_jobs` (unset or
+/// empty: none). Anything else is an error naming the argument.
+fn parse_args(args: &[String], env_jobs: Option<&str>) -> Result<Args, String> {
     let mut out = Args::default();
+    if let Some(v) = env_jobs.filter(|v| !v.is_empty()) {
+        out.jobs = Some(parse_jobs(v).map_err(|e| format!("CLOP_BENCH_JOBS: {}", e))?);
+    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let count = match a.as_str() {
@@ -115,10 +126,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             other => other.strip_prefix("--jobs="),
         };
         if let Some(v) = count {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => out.jobs = Some(n),
-                _ => return Err(format!("bad worker count `{}`: need an integer >= 1", v)),
-            }
+            out.jobs = Some(parse_jobs(v)?);
         } else if a.starts_with('-') {
             return Err(format!("unknown flag `{}`", a));
         } else if out.filter.is_some() {
@@ -134,11 +142,12 @@ impl Runner {
     /// Build a runner from the process arguments (see `parse_args`): the
     /// filter selects rows by name substring, and the worker count for
     /// sharded benchmark bodies defaults to `CLOP_BENCH_JOBS`, else the
-    /// machine's available parallelism. Bad arguments print the usage and
-    /// exit with status 2.
+    /// machine's available parallelism. Bad arguments or a bad
+    /// `CLOP_BENCH_JOBS` print the usage and exit with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match parse_args(&args) {
+        let env_jobs = std::env::var("CLOP_BENCH_JOBS").ok();
+        match parse_args(&args, env_jobs.as_deref()) {
             Ok(parsed) => {
                 let mut r = Runner::default();
                 r.filter = parsed.filter;
@@ -254,8 +263,15 @@ mod tests {
         }
     }
 
+    fn parse_with_env(v: &[&str], env_jobs: Option<&str>) -> Result<Args, String> {
+        parse_args(
+            &v.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            env_jobs,
+        )
+    }
+
     fn parse(v: &[&str]) -> Result<Args, String> {
-        parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_with_env(v, None)
     }
 
     #[test]
@@ -294,6 +310,22 @@ mod tests {
             assert!(parse(bad).is_err(), "{:?} must be rejected", bad);
         }
         assert!(parse(&["--jbos", "1"]).unwrap_err().contains("--jbos"));
+    }
+
+    #[test]
+    fn bench_jobs_variable_is_validated_like_the_flag() {
+        let jobs = |args: &[&str], env: Option<&str>| parse_with_env(args, env).map(|a| a.jobs);
+        assert_eq!(jobs(&[], Some("3")), Ok(Some(3)));
+        assert_eq!(jobs(&["-j", "2"], Some("3")), Ok(Some(2)), "the flag wins");
+        assert_eq!(jobs(&[], Some("")), Ok(None), "empty is unset");
+        for bad in ["x", "0", "-1", "2x"] {
+            let err = jobs(&[], Some(bad)).unwrap_err();
+            assert!(
+                err.contains("CLOP_BENCH_JOBS") && err.contains(bad),
+                "{}",
+                err
+            );
+        }
     }
 
     #[test]

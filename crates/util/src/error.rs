@@ -19,6 +19,8 @@
 //! * [`ClopError::Experiment`] — experiment-runner failures: a job
 //!   returned an error, panicked, or exceeded the soft watchdog budget.
 //! * [`ClopError::Io`] — underlying I/O failures with a context string.
+//! * [`ClopError::Config`] — a configuration variable with an unusable
+//!   value, naming the variable and the value.
 //!
 //! Lower crates convert their local error types into `ClopError` via
 //! `From` impls (defined next to the local type, satisfying coherence);
@@ -109,6 +111,16 @@ pub enum ClopError {
         /// The source error's display.
         detail: String,
     },
+    /// A configuration variable holds a value that does not parse or is
+    /// out of range.
+    Config {
+        /// The variable's name (`CLOP_SERVE_QUEUE_CAP`, …).
+        variable: String,
+        /// The value as given.
+        value: String,
+        /// What a valid value looks like.
+        detail: String,
+    },
 }
 
 impl ClopError {
@@ -153,6 +165,19 @@ impl ClopError {
         ClopError::Experiment {
             experiment: experiment.into(),
             kind,
+            detail: detail.into(),
+        }
+    }
+
+    /// A configuration variable whose `value` is unusable.
+    pub fn config(
+        variable: impl Into<String>,
+        value: impl Into<String>,
+        detail: impl Into<String>,
+    ) -> ClopError {
+        ClopError::Config {
+            variable: variable.into(),
+            value: value.into(),
             detail: detail.into(),
         }
     }
@@ -202,6 +227,11 @@ impl fmt::Display for ClopError {
                 kind: _,
                 detail,
             } => write!(f, "I/O error ({}): {}", context, detail),
+            ClopError::Config {
+                variable,
+                value,
+                detail,
+            } => write!(f, "invalid {}={:?}: {}", variable, value, detail),
         }
     }
 }
@@ -228,6 +258,11 @@ mod tests {
         let e = ClopError::experiment("fig4_miss_ratios", FailureKind::Panic, "boom");
         assert!(e.to_string().contains("fig4_miss_ratios"));
         assert!(e.to_string().contains("panic"));
+        let e = ClopError::config("CLOP_SERVE_QUEUE_CAP", "6x", "need an integer");
+        assert_eq!(
+            e.to_string(),
+            "invalid CLOP_SERVE_QUEUE_CAP=\"6x\": need an integer"
+        );
     }
 
     #[test]
