@@ -8,7 +8,9 @@
 # CLOP_BLESS=1 ci/lint_ir.sh after an intentional change), `clop-lint`
 # must *reject* the intentionally broken corpus, the trace-free static
 # ranking must hold its Spearman gate on the reduced golden, and the
-# pipeline-verification + conflict cross-validation suite must pass.
+# pipeline-verification + conflict cross-validation suite must pass, and
+# `clop-trace info` must read what the writers emit and refuse a
+# version-1 container.
 #
 # Usage: ci/lint_ir.sh
 set -euo pipefail
@@ -80,8 +82,29 @@ cargo test --release -p clop-bench --test golden reduced_static_rank
 echo "== pipeline verification + conflict cross-validation suite =="
 cargo test --release -p clop-bench --test verify_pipelines
 
-echo "== trace codec fuzz: corruption storms over v0/v1/columnar containers =="
+echo "== trace codec fuzz: corruption storms over CLTC v2 containers =="
 cargo test --release -p clop-trace --test fault_injection
 cargo test --release -p clop-trace columnar
+
+echo "== clop-trace info: reads what the writers emit, refuses version 1 =="
+cargo build --release -p clop-trace -p clop-serve --bins
+tmp="$(mktemp -d)"
+target/release/clop-serve gen "$tmp/t.cltc" 9000 257 1
+info="$(target/release/clop-trace info "$tmp/t.cltc")"
+echo "$info"
+if [[ "$info" != *"container version 2, 9000 events"* ]]; then
+    echo "FAIL: clop-trace info did not report a 9000-event version-2 container" >&2
+    exit 1
+fi
+# The 21 bytes of a version-1 container holding [5, 5, 9, 0, 1000000, 3].
+printf 'CLTC\001\013T#\a\331\006\n\000\b\021\200\211z\371\210z' > "$tmp/v1.cltc"
+status=0
+msg="$(target/release/clop-trace info "$tmp/v1.cltc" 2>&1)" || status=$?
+echo "$msg"
+rm -rf "$tmp"
+if [[ "$status" -ne 1 || "$msg" != *"version 1"* ]]; then
+    echo "FAIL: clop-trace info must exit 1 naming version 1 (exit $status)" >&2
+    exit 1
+fi
 
 echo "PASS: lint-ir"

@@ -1,5 +1,5 @@
-//! CLTC codec throughput: columnar (v2) payload encode/decode and
-//! container-level reads for both payload versions.
+//! CLTC codec throughput: columnar (v2) payload encode/decode and the
+//! container-level read.
 //!
 //! Two event streams bracket the codec's operating range:
 //!
@@ -10,14 +10,12 @@
 //! * `random` — uniformly random block ids, the adversarial case: every
 //!   delta is a fresh two-byte varint and the run tier never engages.
 //!
-//! The `read_container_v{1,2}` rows measure the full `read_trace` path
-//! (container CRC + payload decode + trace construction) on the same
-//! events, so ci/bench_gate.sh can ratio-guard "columnar ingest never
-//! loses to the row format" machine-independently from one run. The v1
-//! bytes come from the legacy encoder in `clop-oracle`: the library reads
-//! v1 but writes only v2.
+//! The `read_container_v2` row measures the full `read_trace` path
+//! (container CRC + payload decode + trace construction) on the `loopy`
+//! events, so ci/bench_gate.sh can ratio-guard its overhead over the bare
+//! `columnar_decode` of the same events from one run.
 
-use clop_trace::columnar::{self, Columns, DEFAULT_BLOCK_EVENTS};
+use clop_trace::columnar::{self, DEFAULT_BLOCK_EVENTS};
 use clop_trace::trace::BlockId;
 use clop_trace::{read_trace, write_trace, Trace};
 use clop_util::bench::{quick, Runner};
@@ -68,8 +66,8 @@ fn main() {
         ("loopy_4m", loopy_events(n)),
         ("random_4m", random_events(n)),
     ] {
-        let payload = columnar::encode(&events, Columns::default(), DEFAULT_BLOCK_EVENTS)
-            .expect("encode benchmark payload");
+        let payload =
+            columnar::encode(&events, DEFAULT_BLOCK_EVENTS).expect("encode benchmark payload");
         r.bench_with_elements(
             &format!("trace/columnar_decode/{}", tag),
             Some(n as u64),
@@ -78,22 +76,14 @@ fn main() {
         r.bench_with_elements(
             &format!("trace/columnar_encode/{}", tag),
             Some(n as u64),
-            || {
-                columnar::encode(&events, Columns::default(), DEFAULT_BLOCK_EVENTS)
-                    .expect("encode benchmark payload")
-            },
+            || columnar::encode(&events, DEFAULT_BLOCK_EVENTS).expect("encode benchmark payload"),
         );
     }
 
-    // Container-level ingest: same events, both payload versions.
+    // Container-level ingest of the `loopy` events.
     let trace: Trace = loopy_events(n).into_iter().collect();
-    let ids: Vec<u32> = trace.events().iter().map(|b| b.0).collect();
-    let v1 = clop_oracle::legacy::cltc_v1(&ids);
     let mut v2 = Vec::new();
     write_trace(&mut v2, &trace).expect("write v2");
-    r.bench_with_elements("trace/read_container_v1/loopy_4m", Some(n as u64), || {
-        read_trace(&mut v1.as_slice()).expect("read v1")
-    });
     r.bench_with_elements("trace/read_container_v2/loopy_4m", Some(n as u64), || {
         read_trace(&mut v2.as_slice()).expect("read v2")
     });

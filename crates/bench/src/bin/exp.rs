@@ -7,7 +7,8 @@
 //!   experiment are reused by the next.
 //! * With no name or an unknown one, it lists the experiments and exits 2,
 //!   as it does on an unknown flag, a second name, or a `--jobs` without a
-//!   positive integer value.
+//!   positive integer value. A bad `CLOP_EXP_TIMEOUT` or `CLOP_RESUME`
+//!   value prints a message naming it and exits 2.
 //!
 //! Parallelism lives *inside* each experiment (`--jobs N`, `-j N` or
 //! `--jobs=N`; defaults to the machine's available parallelism):
@@ -28,6 +29,7 @@ use clop_bench::experiment::{all, find, Experiment, ExperimentCtx};
 use clop_bench::runner::{run_suite, run_supervised, SuiteOptions};
 use clop_bench::write_json;
 use clop_util::pool::default_jobs;
+use clop_util::vars::Vars;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -41,10 +43,17 @@ fn main() -> ExitCode {
         }
     };
     let jobs = args.jobs.unwrap_or_else(default_jobs);
+    let opts = match SuiteOptions::from_env(&Vars::env()) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{}", e);
+            return ExitCode::from(2);
+        }
+    };
     match args.name.as_deref() {
-        Some("all") => run_all(jobs),
+        Some("all") => run_all(jobs, &opts),
         Some(name) => match find(name) {
-            Some(exp) => run_one(exp, jobs),
+            Some(exp) => run_one(exp, jobs, &opts),
             None => {
                 eprintln!("unknown experiment {:?}", name);
                 usage()
@@ -105,9 +114,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn run_one(exp: Experiment, jobs: usize) -> ExitCode {
+fn run_one(exp: Experiment, jobs: usize, opts: &SuiteOptions) -> ExitCode {
     let ctx = Arc::new(ExperimentCtx::new(jobs));
-    let opts = SuiteOptions::from_env();
     match run_supervised(&exp, &ctx, opts.timeout) {
         Ok(result) => {
             print!("{}", result.text);
@@ -121,9 +129,8 @@ fn run_one(exp: Experiment, jobs: usize) -> ExitCode {
     }
 }
 
-fn run_all(jobs: usize) -> ExitCode {
+fn run_all(jobs: usize, opts: &SuiteOptions) -> ExitCode {
     let ctx = Arc::new(ExperimentCtx::new(jobs));
-    let opts = SuiteOptions::from_env();
     eprintln!(
         "running {} experiments with --jobs {}{}{}",
         all().len(),
@@ -133,7 +140,7 @@ fn run_all(jobs: usize) -> ExitCode {
             .map(|t| format!(" (timeout {:.0}s)", t.as_secs_f64()))
             .unwrap_or_default(),
     );
-    let report = run_suite(&ctx, &opts);
+    let report = run_suite(&ctx, opts);
     let stats = ctx.engine.stats();
     eprintln!(
         "engine: {} evaluations ({} memoized), {} optimizations ({} memoized)",

@@ -28,7 +28,8 @@
 
 use crate::experiment::{all, Experiment, ExperimentCtx, ExperimentResult};
 use crate::{render_table, try_results_dir, write_json_to};
-use clop_util::{atomic_write, ClopError, FailureKind, Json};
+use clop_util::vars::Vars;
+use clop_util::{atomic_write, ClopError, ClopResult, FailureKind, Json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -49,25 +50,34 @@ pub struct SuiteOptions {
 }
 
 impl SuiteOptions {
-    /// Read `CLOP_EXP_TIMEOUT` (seconds), `CLOP_RESUME` and
-    /// `CLOP_CHECKPOINT_DIR` from the environment.
-    pub fn from_env() -> SuiteOptions {
-        let timeout = std::env::var("CLOP_EXP_TIMEOUT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
-        let resume = std::env::var("CLOP_RESUME").is_ok_and(|v| !v.is_empty() && v != "0");
-        let checkpoint_dir = std::env::var("CLOP_CHECKPOINT_DIR")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from);
-        SuiteOptions {
+    /// Read `CLOP_EXP_TIMEOUT` (a positive number of seconds),
+    /// `CLOP_RESUME` (`0` or `1`) and `CLOP_CHECKPOINT_DIR` through `v`
+    /// (pass [`Vars::env`] for the process environment). Unset or empty
+    /// variables take the defaults; any other bad value is an error naming
+    /// it.
+    pub fn from_env(v: &Vars) -> ClopResult<SuiteOptions> {
+        let timeout = match v.text("CLOP_EXP_TIMEOUT") {
+            None => None,
+            Some(raw) => Some(
+                raw.parse::<f64>()
+                    .ok()
+                    .filter(|s| *s > 0.0)
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
+                    .ok_or_else(|| {
+                        ClopError::config(
+                            "CLOP_EXP_TIMEOUT",
+                            raw,
+                            "need a positive number of seconds",
+                        )
+                    })?,
+            ),
+        };
+        Ok(SuiteOptions {
             timeout,
-            resume,
-            checkpoint_dir,
+            resume: v.flag("CLOP_RESUME")?,
+            checkpoint_dir: v.text("CLOP_CHECKPOINT_DIR").map(PathBuf::from),
             results_dir: None,
-        }
+        })
     }
 
     fn resolved_results_dir(&self) -> Result<PathBuf, ClopError> {
@@ -525,12 +535,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    fn options(vars: &[(&str, &str)]) -> ClopResult<SuiteOptions> {
+        let get = |name: &str| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        };
+        SuiteOptions::from_env(&Vars(&get))
+    }
+
     #[test]
-    fn options_parse_from_env_shape() {
-        // Only check the parsing helpers that don't require mutating the
-        // process environment (racy under the parallel test runner).
-        let opts = SuiteOptions::default();
-        assert!(opts.timeout.is_none());
-        assert!(!opts.resume);
+    fn options_parse_from_variables() {
+        for unset in [&[][..], &[("CLOP_EXP_TIMEOUT", ""), ("CLOP_RESUME", "")]] {
+            let opts = options(unset).unwrap();
+            assert_eq!((opts.timeout, opts.resume), (None, false));
+            assert_eq!(opts.checkpoint_dir, None);
+        }
+        let opts = options(&[
+            ("CLOP_EXP_TIMEOUT", "2.5"),
+            ("CLOP_RESUME", "1"),
+            ("CLOP_CHECKPOINT_DIR", "/ckpt"),
+        ])
+        .unwrap();
+        assert_eq!(opts.timeout, Some(Duration::from_millis(2500)));
+        assert!(opts.resume);
+        assert_eq!(opts.checkpoint_dir, Some(PathBuf::from("/ckpt")));
+        assert!(!options(&[("CLOP_RESUME", "0")]).unwrap().resume);
+    }
+
+    #[test]
+    fn bad_option_values_are_errors_naming_the_variable_and_the_value() {
+        for (name, value) in [
+            ("CLOP_EXP_TIMEOUT", "abc"),
+            ("CLOP_EXP_TIMEOUT", "0"),
+            ("CLOP_EXP_TIMEOUT", "-3"),
+            ("CLOP_EXP_TIMEOUT", "NaN"),
+            ("CLOP_EXP_TIMEOUT", "inf"),
+            ("CLOP_RESUME", "false"),
+            ("CLOP_RESUME", "yes"),
+            ("CLOP_RESUME", "2"),
+        ] {
+            match options(&[(name, value)]) {
+                Err(ClopError::Config {
+                    variable, value: v, ..
+                }) => assert_eq!((variable.as_str(), v.as_str()), (name, value)),
+                other => panic!("{}={} gave {:?}", name, value, other.map(|_| ())),
+            }
+        }
     }
 }

@@ -306,6 +306,14 @@ impl IncrementalStore {
         )
     }
 
+    /// The state for `(version, params)` if one is registered; unlike
+    /// [`IncrementalStore::state`], a miss registers nothing.
+    pub fn get(&self, version: &str, params: AnalysisParams) -> Option<Arc<Mutex<VersionState>>> {
+        lock(&self.versions)
+            .get(&(version.to_string(), params.key()))
+            .map(Arc::clone)
+    }
+
     /// Register a state restored from a checkpoint under `version`,
     /// replacing any state already registered at its parameters.
     pub fn restore(&self, version: &str, state: VersionState) -> Arc<Mutex<VersionState>> {
@@ -523,6 +531,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(store.versions(), vec!["v1".to_string(), "v2".to_string()]);
         assert_eq!(store.len(), 3);
+        assert!(Arc::ptr_eq(&a, &store.get("v1", params()).unwrap()));
+        assert!(store.get("v3", params()).is_none());
+        assert_eq!(store.len(), 3, "a lookup miss registers nothing");
     }
 
     #[test]

@@ -9,14 +9,11 @@
 //! * [`pair_threshold`] — the smallest `w` at which two blocks have
 //!   w-window affinity (Definition 3), quadratic in the occurrence counts;
 //! * [`NaiveLruStack`] — the walk-based LRU stack of §II-F, O(depth) per
-//!   access;
-//! * [`legacy`] — byte encoders for the trace containers that are still
-//!   read but no longer written (CLTC v0, CLTC v1, CLSH with a v1 payload).
+//!   access.
 //!
 //! This crate is a dev-dependency only: no workspace crate may depend on
 //! it through a normal dependency (CI checks `cargo tree -e normal`).
 
-pub mod legacy;
 mod stack;
 
 pub use stack::NaiveLruStack;

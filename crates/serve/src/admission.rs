@@ -4,8 +4,11 @@
 //! Every ingested shard — from the socket or the directory watcher —
 //! passes through [`admit`]. The decoder is the salvaging CLSH reader
 //! (`read_shard_repaired`), so a shard with a damaged payload still
-//! yields its longest clean event prefix plus a `RepairReport`. Policy:
+//! yields the events of its longest clean block prefix plus a
+//! `RepairReport`. Policy:
 //!
+//! * no decode at all (a damaged header, or a payload in a format the
+//!   reader does not accept) → reject;
 //! * clean report → accept;
 //! * checksum mismatch with **no** visible damage (full decode, nothing
 //!   dropped) → reject: the corruption is silent and the events cannot be
@@ -95,26 +98,25 @@ pub fn admit(bytes: &[u8], max_drop_frac: f64) -> Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clop_oracle::legacy;
     use clop_trace::shardfile::write_shard;
     use clop_trace::TrimmedTrace;
 
-    fn shard_bytes(ids: &[u32]) -> Vec<u8> {
-        let t = TrimmedTrace::from_indices(ids.iter().copied());
+    fn shard_bytes(ids: impl IntoIterator<Item = u32>) -> Vec<u8> {
+        let t = TrimmedTrace::from_indices(ids);
         let mut buf = Vec::new();
         write_shard(&mut buf, 0, 0, t.len(), &t).unwrap();
         buf
     }
 
-    /// A shard with a legacy CLTC v1 payload, whose salvage drops whole
-    /// events (a v2 payload salvages whole blocks).
-    fn v1_shard_bytes(ids: &[u32]) -> Vec<u8> {
-        legacy::clsh_v1(0, 0, ids.len(), ids)
+    /// A shard of 5000 events: one full 4096-event block and a partial
+    /// one, so a torn tail salvages the first block.
+    fn two_block_shard() -> Vec<u8> {
+        shard_bytes((0..5000).map(|i| i % 97))
     }
 
     #[test]
     fn clean_shard_is_accepted() {
-        let bytes = shard_bytes(&[1, 2, 3, 1, 2]);
+        let bytes = shard_bytes([1, 2, 3, 1, 2]);
         match admit(&bytes, 0.0) {
             Admission::Accept {
                 salvaged, report, ..
@@ -137,9 +139,9 @@ mod tests {
 
     #[test]
     fn truncated_payload_respects_drop_budget() {
-        // Truncating the embedded CLTC payload drops trailing events but
+        // Truncating the embedded CLTC payload drops the trailing block but
         // leaves the headers intact — the salvaging path.
-        let bytes = v1_shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let bytes = two_block_shard();
         let truncated = &bytes[..bytes.len() - 2];
         match admit(truncated, 0.0) {
             Admission::RejectSalvage { report, .. } => assert!(report.dropped > 0),
@@ -150,8 +152,7 @@ mod tests {
                 salvaged, report, ..
             } => {
                 assert!(salvaged);
-                assert!(report.dropped > 0);
-                assert!(report.decoded < report.declared);
+                assert_eq!((report.declared, report.decoded), (5000, 4096));
             }
             other => panic!("expected salvage accept at frac 1, got {:?}", other),
         }
@@ -159,10 +160,10 @@ mod tests {
 
     #[test]
     fn salvaged_core_is_clamped_to_decoded_events() {
-        let bytes = v1_shard_bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let bytes = two_block_shard();
         if let Admission::Accept { shard, .. } = admit(&bytes[..bytes.len() - 2], 1.0) {
-            assert!(shard.core_end <= shard.trace.len());
-            assert!(shard.core_start <= shard.core_end);
+            assert_eq!(shard.trace.len(), 4096);
+            assert_eq!((shard.core_start, shard.core_end), (0, 4096));
         } else {
             panic!("expected accept");
         }

@@ -33,11 +33,11 @@
 //! `CLOP_SERVE_PORT_FILE` handshake.
 
 use clop_serve::chaos::ChaosProxy;
-use clop_serve::config::Vars;
 use clop_serve::session::{Session, SessionConfig};
 use clop_serve::{ServeConfig, Server};
 use clop_trace::{read_trace, split_shards_columnar, write_trace, Trace, TrimmedTrace};
 use clop_util::faultnet::FaultSpec;
+use clop_util::vars::Vars;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::time::Duration;

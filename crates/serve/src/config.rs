@@ -1,11 +1,9 @@
 //! Environment-driven daemon configuration (`CLOP_SERVE_*`).
 
 use clop_core::incremental::AnalysisParams;
-use clop_util::{ClopError, ClopResult};
-use std::fmt::Debug;
-use std::ops::RangeBounds;
+use clop_util::vars::Vars;
+use clop_util::ClopResult;
 use std::path::PathBuf;
-use std::str::FromStr;
 
 /// All knobs of the serving daemon. Every field has a `CLOP_SERVE_*`
 /// environment variable; unset or empty variables take the listed
@@ -90,54 +88,6 @@ pub struct ServeConfig {
     /// the smoke scripts' lever to make backpressure observable on a
     /// separate daemon process.
     pub fold_delay_ms: u64,
-}
-
-/// Typed reads of `CLOP_SERVE_*` variables through a lookup (a map in
-/// tests, which must not set process variables). Unset and empty both
-/// take the default; any other value must parse and be in range.
-pub struct Vars<'a>(pub(crate) &'a dyn Fn(&str) -> Option<String>);
-
-impl Vars<'_> {
-    /// The process environment.
-    pub fn env() -> Vars<'static> {
-        Vars(&|name| std::env::var(name).ok())
-    }
-
-    /// The raw value, `None` when unset or empty.
-    fn text(&self, name: &str) -> Option<String> {
-        (self.0)(name).filter(|s| !s.is_empty())
-    }
-
-    /// A `T` in `range`.
-    pub fn get<T>(
-        &self,
-        name: &str,
-        default: T,
-        range: impl RangeBounds<T> + Debug,
-    ) -> ClopResult<T>
-    where
-        T: FromStr + PartialOrd,
-    {
-        let Some(raw) = self.text(name) else {
-            return Ok(default);
-        };
-        match raw.parse::<T>() {
-            Ok(v) if range.contains(&v) => Ok(v),
-            _ => {
-                let need = format!("need a {} in {:?}", std::any::type_name::<T>(), range);
-                Err(ClopError::config(name, raw, need))
-            }
-        }
-    }
-
-    /// A switch: exactly `0` or `1`; off when unset.
-    fn flag(&self, name: &str) -> ClopResult<bool> {
-        match self.text(name).as_deref() {
-            None | Some("0") => Ok(false),
-            Some("1") => Ok(true),
-            Some(other) => Err(ClopError::config(name, other, "need 0 or 1")),
-        }
-    }
 }
 
 impl Default for ServeConfig {
@@ -234,6 +184,7 @@ pub fn valid_version(version: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clop_util::ClopError;
 
     #[test]
     fn defaults_are_sane() {

@@ -513,8 +513,11 @@ fn cmd_query(
         IngestStats::bump(&shared.stats.shed_queries);
         return out.write_all(format!("-RETRY {}\n", shared.config.retry_ms).as_bytes());
     }
-    let arc = shared.store.state(version, shared.config.params);
-    let result = lock(&arc).layout_query(pipeline);
+    // A version nobody streamed answers as an empty fold, registering none.
+    let result = match shared.store.get(version, shared.config.params) {
+        Some(arc) => lock(&arc).layout_query(pipeline),
+        None => VersionState::new(shared.config.params).layout_query(pipeline),
+    };
     match result {
         Ok(res) => {
             IngestStats::bump(&shared.stats.queries);
@@ -534,10 +537,12 @@ fn cmd_epoch(shared: &Arc<Shared>, out: &mut TcpStream, version: &str) -> std::i
     if !valid_version(version) {
         return out.write_all(b"-ERR bad version token\n");
     }
-    let arc = shared.store.state(version, shared.config.params);
-    let (epoch, shards) = {
-        let st = lock(&arc);
-        (st.epoch(), st.shards_absorbed())
+    let (epoch, shards) = match shared.store.get(version, shared.config.params) {
+        Some(arc) => {
+            let st = lock(&arc);
+            (st.epoch(), st.shards_absorbed())
+        }
+        None => (0, 0),
     };
     out.write_all(format!("+EPOCH {} {}\n", epoch, shards).as_bytes())
 }
@@ -878,7 +883,7 @@ mod tests {
     use crate::session::{backoff_delay, SessionConfig};
     use clop_core::build_pipeline;
     use clop_core::incremental::AnalysisParams;
-    use clop_trace::{read_shard, split_shards_columnar, TrimmedTrace};
+    use clop_trace::{split_shards_columnar, TrimmedTrace};
     use clop_util::Rng;
     use std::fs;
 
@@ -1053,12 +1058,18 @@ mod tests {
         server.join();
     }
 
-    /// A fleet mid-rollout streams a mix of legacy row (CLTC v1) and
-    /// columnar (CLTC v2) shard payloads for the same trace version; the
-    /// daemon must fold both formats into one state and answer identically
-    /// to the batch pipeline.
+    /// A shard whose payload is a CLTC version-1 container (seq 7, core
+    /// 1..4), as the retired row writer produced it.
+    const SHARD_V1: [u8; 29] = [
+        67, 76, 83, 72, 1, 7, 1, 4, 207, 58, 120, 228, 67, 76, 84, 67, 1, 7, 195, 204, 50, 160, 5,
+        8, 10, 13, 10, 202, 4,
+    ];
+
+    /// A client streaming a version-1 payload mid-stream gets a decode
+    /// error for that shard alone; the version's v2 shards still fold to
+    /// the batch answer.
     #[test]
-    fn mixed_row_and_columnar_shards_fold_to_batch_answer() {
+    fn version_1_payload_is_a_decode_error_and_v2_shards_still_fold() {
         let params = AnalysisParams::default();
         let config = ServeConfig {
             params,
@@ -1067,23 +1078,18 @@ mod tests {
         };
         let server = Server::start(config).unwrap();
         let t = random_trace(23, 1200, 14);
-        let col = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
-        // The same shards with a legacy CLTC v1 (row) payload.
-        let row: Vec<Vec<u8>> = col
-            .iter()
-            .map(|f| {
-                let sf = read_shard(&mut f.as_slice()).unwrap();
-                let ids: Vec<u32> = sf.trace.iter().map(|b| b.0).collect();
-                clop_oracle::legacy::clsh_v1(sf.seq, sf.core_start, sf.core_end, &ids)
-            })
-            .collect();
-
+        let files = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
         let mut c = Client::connect(server.addr());
-        for (i, (r, cshard)) in row.iter().zip(&col).enumerate() {
-            let f = if i % 2 == 0 { cshard } else { r };
+        for (i, f) in files.iter().enumerate() {
             assert!(c.send_shard_retrying("app-v2", f).starts_with("+OK"));
+            if i == 2 {
+                let resp = c.send_shard("app-v2", &SHARD_V1);
+                assert!(resp.starts_with("-ERR decode: "), "{}", resp);
+                assert!(resp.contains("version 1"), "{}", resp);
+            }
         }
         assert!(c.command("SYNC").starts_with("+SYNCED"));
+        assert_eq!(load(&server.stats().rejected_decode), 1);
         for pipeline in ["function-affinity", "function-trg"] {
             assert_eq!(
                 c.query("app-v2", pipeline),
@@ -1447,6 +1453,39 @@ mod tests {
         }
         assert_eq!(c.command("STOP"), "+BYE");
         server.join();
+        // Neither EPOCH nor the shutdown checkpoint brought va back.
+        assert!(!checkpoint::state_path(&ckpt, "va").exists());
+        fs::remove_dir_all(&ckpt).unwrap();
+    }
+
+    #[test]
+    fn reads_of_an_unstreamed_version_leave_no_state() {
+        let params = AnalysisParams::default();
+        let ckpt = std::env::temp_dir().join(format!("clop-serve-ghost-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&ckpt);
+        let server = Server::start(ServeConfig {
+            params,
+            checkpoint_dir: Some(ckpt.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let t = random_trace(39, 300, 7);
+        let files = split_shards_columnar(&t, 1, params.affinity.w_max, params.trg.window);
+        let mut c = Client::connect(server.addr());
+        assert!(c.send_shard_retrying("real", &files[0]).starts_with("+OK"));
+        assert!(c.command("SYNC").starts_with("+SYNCED"));
+        // The answers of an empty fold.
+        assert_eq!(c.command("EPOCH ghost"), "+EPOCH 0 0");
+        assert_eq!(c.query("ghost", "function-affinity"), Vec::<u32>::new());
+        assert_eq!(server.shared.store.versions(), vec!["real".to_string()]);
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+        let mut names: Vec<String> = fs::read_dir(&ckpt)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["real.done", "real.state"]);
         fs::remove_dir_all(&ckpt).unwrap();
     }
 

@@ -24,7 +24,7 @@
 //! the full request and rejected it; resending the same bytes cannot
 //! succeed.
 
-use crate::config::Vars;
+use clop_util::vars::Vars;
 use clop_util::{ClopResult, Rng};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};

@@ -15,40 +15,32 @@
 //!
 //! ```text
 //! magic    "CLTC"        4 bytes
-//! version  u8            1 or 2; readers reject anything newer
+//! version  u8            2; readers reject any other
 //! paylen   varint        payload size in bytes
 //! crc32    u32 LE        IEEE CRC-32 of the payload bytes
-//! payload                version 2: the columnar blocks of [`crate::columnar`]
-//!                        version 1: count varint, then zigzag-varint deltas
+//! payload                the columnar blocks of [`crate::columnar`]
 //! ```
 //!
-//! **Version 2 is the only format written.** [`write_trace`],
-//! [`write_trimmed`] and the CLSH shard writer all emit the columnar
-//! payload: independently decodable delta blocks with per-block CRCs.
-//! Versions 0 and 1 are **read-only**: every reader still accepts them, so
-//! existing files stay usable (`clop-trace pack` rewrites them as v2).
-//! Version 1 carries the row payload above. Version 0 (magic `CLT1`) is
-//! the original format: the row payload with no version, length or
-//! checksum.
+//! [`write_trace`], [`write_trimmed`] and the CLSH shard writer all emit
+//! this container, and every reader accepts exactly what they emit:
+//! version 2 around a columnar payload with flags 0. Anything else — the
+//! `CLT1` magic, another version byte, a payload with flag bits set — is
+//! a [`ClopError::TraceDecode`] that names what was found.
 //!
-//! Every decode failure is a structured [`ClopError::TraceDecode`] with
-//! the byte offset where decoding stopped. The decoder hardens against
-//! hostile headers: event counts and payload lengths are *bounds checked
-//! against bytes actually present*, never trusted for preallocation, so a
-//! header claiming 2^60 events fails with an error after reading at most
-//! one byte per claimed event — memory use is always proportional to the
+//! Every decode failure is a structured [`ClopError::TraceDecode`]. The
+//! decoder hardens against hostile headers: event counts and payload
+//! lengths are *bounds checked against bytes actually present*, never
+//! trusted for preallocation, so memory use is always proportional to the
 //! input actually supplied. CRC-32 detects all single-bit errors, so any
-//! seeded bit-flip in a v1 or v2 file surfaces as a checksum or decode
-//! error.
+//! seeded bit-flip surfaces as a checksum or decode error.
 //!
 //! [`read_trace_repaired`] additionally supports *salvage* for pipelines
-//! that prefer a partial profile over none: it keeps the longest cleanly
-//! decodable prefix of a damaged payload and reports what was dropped. On
-//! a v2 payload the prefix is made of whole CRC-clean blocks; on a v0/v1
-//! payload it is made of events.
+//! that prefer a partial profile over none: it keeps the longest prefix
+//! of whole CRC-clean blocks of a damaged payload and reports what was
+//! dropped.
 
 use crate::mapping::BlockMap;
-use crate::trace::{BlockId, Trace, TrimmedTrace};
+use crate::trace::{Trace, TrimmedTrace};
 use clop_util::crc32::Crc32;
 use clop_util::{ClopError, ClopResult};
 use std::io::{self, BufRead, Read, Write};
@@ -56,14 +48,8 @@ use std::io::{self, BufRead, Read, Write};
 /// Magic bytes of the versioned container.
 const MAGIC: &[u8; 4] = b"CLTC";
 
-/// Magic bytes of the legacy (v0) format: count + deltas, no checksum.
-const MAGIC_V0: &[u8; 4] = b"CLT1";
-
-/// Container version carrying the row payload (read-only).
-const VERSION_ROW: u8 = 1;
-
-/// Container version carrying a columnar payload ([`crate::columnar`]),
-/// the only version written.
+/// The container version every writer emits and every reader accepts: a
+/// columnar payload ([`crate::columnar`]).
 const VERSION_COLUMNAR: u8 = 2;
 
 /// Encode an unsigned LEB128 varint.
@@ -89,8 +75,8 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// A reader wrapper that tracks the byte offset (for error reporting) and
-/// optionally accumulates a CRC-32 over everything read (for payload
-/// verification).
+/// optionally accumulates a CRC-32 over everything read (for the CLSH
+/// header checksum).
 pub(crate) struct Decoder<'a, R: Read> {
     r: &'a mut R,
     offset: u64,
@@ -184,88 +170,28 @@ impl<'a, R: Read> Decoder<'a, R> {
     }
 }
 
-/// Decode up to `n` delta-encoded events. In strict mode a decode failure
-/// aborts; in repair mode it ends the trace at the last good event. The
-/// trace is grown incrementally — the declared count is never trusted for
-/// allocation.
-fn decode_events<R: Read>(
-    d: &mut Decoder<'_, R>,
-    n: u64,
-    repair: bool,
-) -> Result<Trace, (Trace, ClopError)> {
-    let mut trace = Trace::new();
-    let mut prev = 0i64;
-    for i in 0..n {
-        let delta = match d.varint("event delta") {
-            Ok(v) => unzigzag(v),
-            Err(e) if repair => return Err((trace, e)),
-            Err(e) => return Err((Trace::new(), e)),
-        };
-        let cur = match prev
-            .checked_add(delta)
-            .filter(|&v| (0..=u32::MAX as i64).contains(&v))
-        {
-            Some(v) => v,
-            None => {
-                let e = ClopError::trace_decode(
-                    d.offset,
-                    format!("event {} id out of range (delta {})", i, delta),
-                );
-                return Err(if repair {
-                    (trace, e)
-                } else {
-                    (Trace::new(), e)
-                });
-            }
-        };
-        trace.push(BlockId(cur as u32));
-        prev = cur;
-    }
-    Ok(trace)
-}
-
-/// The parsed container header: everything before the payload.
-enum Header {
-    V0,
-    V1 {
-        payload_len: u64,
-        crc: u32,
-    },
-    /// Columnar payload ([`crate::columnar`]); same framing fields as v1.
-    V2 {
-        payload_len: u64,
-        crc: u32,
-    },
-}
-
-fn read_header<R: Read>(d: &mut Decoder<'_, R>) -> ClopResult<Header> {
+/// Parse the container header: everything before the payload. Returns
+/// the declared payload length and the stored payload CRC.
+fn read_header<R: Read>(d: &mut Decoder<'_, R>) -> ClopResult<(u64, u32)> {
     let mut magic = [0u8; 4];
     d.read_exact(&mut magic, "magic")?;
-    if &magic == MAGIC_V0 {
-        return Ok(Header::V0);
-    }
     if &magic != MAGIC {
         return Err(ClopError::trace_format(format!(
-            "not a clop trace file (magic {:02x?})",
-            magic
+            "not a CLTC trace container (magic \"{}\")",
+            magic.escape_ascii()
         )));
     }
     let version = d.read_byte("format version")?;
-    if version != VERSION_ROW && version != VERSION_COLUMNAR {
+    if version != VERSION_COLUMNAR {
         return Err(ClopError::trace_format(format!(
-            "unsupported trace format version {} (this build reads up to {})",
+            "unsupported trace container version {} (this build reads only version {})",
             version, VERSION_COLUMNAR
         )));
     }
     let payload_len = d.varint("payload length")?;
     let mut crc_bytes = [0u8; 4];
     d.read_exact(&mut crc_bytes, "payload checksum")?;
-    let crc = u32::from_le_bytes(crc_bytes);
-    Ok(if version == VERSION_COLUMNAR {
-        Header::V2 { payload_len, crc }
-    } else {
-        Header::V1 { payload_len, crc }
-    })
+    Ok((payload_len, u32::from_le_bytes(crc_bytes)))
 }
 
 /// Read up to `payload_len` payload bytes, stopping early at end of data.
@@ -276,94 +202,41 @@ fn read_payload<R: Read>(
     d: &mut Decoder<'_, R>,
     payload_len: u64,
 ) -> ClopResult<(Vec<u8>, ClopResult<()>)> {
-    match d.read_up_to(payload_len) {
-        Ok(payload) => {
-            let complete = if (payload.len() as u64) < payload_len {
-                Err(ClopError::trace_decode(
-                    d.offset,
-                    format!(
-                        "columnar payload truncated: header declares {} bytes, {} present",
-                        payload_len,
-                        payload.len()
-                    ),
-                ))
-            } else {
-                Ok(())
-            };
-            Ok((payload, complete))
-        }
-        Err(e) => Err(e),
-    }
+    let payload = d.read_up_to(payload_len)?;
+    let complete = if (payload.len() as u64) < payload_len {
+        Err(ClopError::trace_decode(
+            d.offset,
+            format!(
+                "columnar payload truncated: header declares {} bytes, {} present",
+                payload_len,
+                payload.len()
+            ),
+        ))
+    } else {
+        Ok(())
+    };
+    Ok((payload, complete))
 }
 
-/// Read a trace written by [`write_trace`], or a legacy v0/v1 file. Any
-/// corruption — truncation, bit-rot, hostile
-/// varints or counts — yields a structured error, never a panic, and
-/// memory use is bounded by the input actually read.
+/// Read a trace written by [`write_trace`]. Any corruption — truncation,
+/// bit-rot, hostile varints or counts — yields a structured error, never a
+/// panic, and memory use is bounded by the input actually read.
 pub fn read_trace<R: Read>(r: &mut R) -> ClopResult<Trace> {
     let mut d = Decoder::new(r);
-    match read_header(&mut d)? {
-        Header::V0 => {
-            let n = d.varint("event count")?;
-            decode_events(&mut d, n, false).map_err(|(_, e)| e)
-        }
-        Header::V1 { payload_len, crc } => {
-            d.begin_crc();
-            let payload_start = d.offset;
-            let n = d.varint("event count")?;
-            // Each event takes at least one payload byte, so a count
-            // exceeding the payload length is corrupt — reject before
-            // decoding (and before any allocation proportional to it).
-            if n > payload_len {
-                return Err(ClopError::trace_decode(
-                    d.offset,
-                    format!(
-                        "event count {} exceeds payload size {} bytes",
-                        n, payload_len
-                    ),
-                ));
-            }
-            let trace = decode_events(&mut d, n, false).map_err(|(_, e)| e)?;
-            let consumed = d.offset - payload_start;
-            if consumed != payload_len {
-                return Err(ClopError::trace_decode(
-                    d.offset,
-                    format!(
-                        "payload length mismatch: header declares {} bytes, events span {}",
-                        payload_len, consumed
-                    ),
-                ));
-            }
-            let computed = d.crc().unwrap_or(0);
-            if computed != crc {
-                return Err(ClopError::trace_decode(
-                    d.offset,
-                    format!(
-                        "payload checksum mismatch: stored {:08x}, computed {:08x}",
-                        crc, computed
-                    ),
-                ));
-            }
-            Ok(trace)
-        }
-        Header::V2 { payload_len, crc } => {
-            let mut d2 = d;
-            let (payload, complete) = read_payload(&mut d2, payload_len)?;
-            complete?;
-            let computed = clop_util::crc32(&payload);
-            if computed != crc {
-                return Err(ClopError::trace_decode(
-                    d2.offset,
-                    format!(
-                        "payload checksum mismatch: stored {:08x}, computed {:08x}",
-                        crc, computed
-                    ),
-                ));
-            }
-            let (ids, _tenants) = crate::columnar::decode_all(&payload)?;
-            Ok(ids.into_iter().collect())
-        }
+    let (payload_len, crc) = read_header(&mut d)?;
+    let (payload, complete) = read_payload(&mut d, payload_len)?;
+    complete?;
+    let computed = clop_util::crc32(&payload);
+    if computed != crc {
+        return Err(ClopError::trace_decode(
+            d.offset,
+            format!(
+                "payload checksum mismatch: stored {:08x}, computed {:08x}",
+                crc, computed
+            ),
+        ));
     }
+    Ok(crate::columnar::decode_all(&payload)?.into_iter().collect())
 }
 
 /// What [`read_trace_repaired`] salvaged from a damaged container.
@@ -375,95 +248,44 @@ pub struct RepairReport {
     pub decoded: u64,
     /// `declared - decoded`: records dropped by the decoder.
     pub dropped: u64,
-    /// Whether the payload checksum verified. `None` for v0 files (no
-    /// checksum) and for payloads whose decode stopped early.
-    pub crc_ok: Option<bool>,
+    /// Whether the whole payload was present and its checksum verified.
+    pub crc_ok: bool,
     /// The decode error that ended salvage, if any.
     pub error: Option<ClopError>,
 }
 
 impl RepairReport {
-    /// True when nothing was dropped and the checksum (if present) held.
+    /// True when nothing was dropped and the checksum held.
     pub fn is_clean(&self) -> bool {
-        self.dropped == 0 && self.error.is_none() && self.crc_ok != Some(false)
+        self.dropped == 0 && self.error.is_none() && self.crc_ok
     }
 }
 
-/// Read a trace, salvaging the longest cleanly decodable event prefix of
+/// Read a trace, salvaging the longest prefix of whole CRC-clean blocks of
 /// a damaged payload instead of failing outright.
 ///
 /// The container header must still be intact (otherwise the payload
 /// cannot even be located — that returns `Err` as usual). Payload damage
-/// — a mid-stream decode error, a short payload, a checksum mismatch —
-/// ends the salvage and is recorded in the [`RepairReport`].
+/// — a damaged block, a short payload, a checksum mismatch — ends the
+/// salvage and is recorded in the [`RepairReport`]. A payload that is
+/// complete and matches its checksum but does not decode (flag bits set,
+/// say) is no damage to salvage around: that also returns `Err`.
 pub fn read_trace_repaired<R: Read>(r: &mut R) -> ClopResult<(Trace, RepairReport)> {
     let mut d = Decoder::new(r);
-    let header = read_header(&mut d)?;
-    let (is_v1, payload_len, stored_crc) = match header {
-        Header::V0 => (false, u64::MAX, 0),
-        Header::V1 { payload_len, crc } => (true, payload_len, crc),
-        Header::V2 { payload_len, crc } => {
-            // Columnar payloads salvage at block granularity: keep the
-            // longest CRC-clean block prefix.
-            let (payload, complete) = read_payload(&mut d, payload_len)?;
-            let (ids, _tenants, salvage) = crate::columnar::decode_salvage(&payload);
-            let crc_ok = if complete.is_err() {
-                Some(false)
-            } else {
-                Some(clop_util::crc32(&payload) == crc)
-            };
-            let trace: Trace = ids.into_iter().collect();
-            return Ok((
-                trace,
-                RepairReport {
-                    declared: salvage.declared,
-                    decoded: salvage.decoded,
-                    dropped: salvage.declared.saturating_sub(salvage.decoded),
-                    crc_ok,
-                    error: salvage.error.or_else(|| complete.err()),
-                },
-            ));
-        }
-    };
-    if is_v1 {
-        d.begin_crc();
-    }
-    let payload_start = d.offset;
-    let declared = match d.varint("event count") {
-        Ok(n) => n,
-        Err(e) => {
-            // No count ⇒ nothing salvageable.
-            return Ok((
-                Trace::new(),
-                RepairReport {
-                    declared: 0,
-                    decoded: 0,
-                    dropped: 0,
-                    crc_ok: None,
-                    error: Some(e),
-                },
-            ));
-        }
-    };
-    let (trace, error) = match decode_events(&mut d, declared, true) {
-        Ok(t) => (t, None),
-        Err((t, e)) => (t, Some(e)),
-    };
-    let decoded = trace.len() as u64;
-    let consumed = d.offset - payload_start;
-    let crc_ok = if !is_v1 || error.is_some() {
-        None
-    } else if consumed != payload_len {
-        Some(false)
-    } else {
-        Some(d.crc().unwrap_or(0) == stored_crc)
+    let (payload_len, crc) = read_header(&mut d)?;
+    let (payload, complete) = read_payload(&mut d, payload_len)?;
+    let (ids, salvage) = crate::columnar::decode_salvage(&payload);
+    let crc_ok = complete.is_ok() && clop_util::crc32(&payload) == crc;
+    let error = match (crc_ok, salvage.error.or_else(|| complete.err())) {
+        (true, Some(e)) => return Err(e),
+        (_, error) => error,
     };
     Ok((
-        trace,
+        ids.into_iter().collect(),
         RepairReport {
-            declared,
-            decoded,
-            dropped: declared.saturating_sub(decoded),
+            declared: salvage.declared,
+            decoded: salvage.decoded,
+            dropped: salvage.declared.saturating_sub(salvage.decoded),
             crc_ok,
             error,
         },
@@ -474,12 +296,8 @@ pub fn read_trace_repaired<R: Read>(r: &mut R) -> ClopResult<(Trace, RepairRepor
 /// magic, version, payload length, CRC-32, then the blocks laid out by
 /// [`crate::columnar`].
 pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    let payload = crate::columnar::encode(
-        trace.events(),
-        crate::columnar::Columns::default(),
-        crate::columnar::DEFAULT_BLOCK_EVENTS,
-    )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let payload = crate::columnar::encode(trace.events(), crate::columnar::DEFAULT_BLOCK_EVENTS)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION_COLUMNAR])?;
     write_varint(w, payload.len() as u64)?;
@@ -538,15 +356,21 @@ pub fn read_mapping<R: BufRead>(r: &mut R) -> ClopResult<BlockMap> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clop_oracle::legacy;
-
-    fn ids(t: &Trace) -> Vec<u32> {
-        t.events().iter().map(|b| b.0).collect()
-    }
+    use crate::trace::BlockId;
 
     fn v2(t: &Trace) -> Vec<u8> {
         let mut buf = Vec::new();
         write_trace(&mut buf, t).unwrap();
+        buf
+    }
+
+    /// A v2 container around `payload`, framed as [`write_trace`] frames it.
+    fn container(payload: &[u8]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION_COLUMNAR);
+        write_varint(&mut buf, payload.len() as u64).unwrap();
+        buf.extend_from_slice(&clop_util::crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
         buf
     }
 
@@ -579,6 +403,27 @@ mod tests {
     }
 
     #[test]
+    fn writers_emit_pinned_bytes() {
+        // Recorded from the writer before the retired read paths were
+        // deleted: the bytes on disk must not move.
+        const TRACE: [u8; 52] = [
+            67, 76, 84, 67, 2, 42, 107, 236, 66, 20, 6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+            0, 32, 0, 0, 0, 6, 0, 0, 0, 10, 0, 0, 0, 141, 48, 191, 185, 10, 0, 8, 17, 128, 137,
+            122, 249, 136, 122,
+        ];
+        const EMPTY: [u8; 26] = [
+            67, 76, 84, 67, 2, 16, 85, 75, 187, 236, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(v2(&Trace::from_indices([5, 5, 9, 0, 1_000_000, 3])), TRACE);
+        assert_eq!(v2(&Trace::new()), EMPTY);
+        // Three full blocks and a partial one, with alignment padding.
+        let big = v2(&Trace::from_indices(
+            (0..9000u32).map(|i| i.wrapping_mul(7919) % 1111),
+        ));
+        assert_eq!((big.len(), clop_util::crc32(&big)), (18075, 0xaae4025e));
+    }
+
+    #[test]
     fn trace_round_trip() {
         let t = Trace::from_indices([5, 5, 9, 0, 1_000_000, 3, 3, 3]);
         let back = read_trace(&mut v2(&t).as_slice()).unwrap();
@@ -595,17 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_files_still_read() {
-        let t = Trace::from_indices([5, 5, 9, 0, 1_000_000, 3, 3, 3]);
-        let v0 = legacy::cltc_v0(&ids(&t));
-        assert_eq!(&v0[..4], MAGIC_V0);
-        assert_eq!(read_trace(&mut v0.as_slice()).unwrap(), t);
-        let v1 = legacy::cltc_v1(&ids(&t));
-        assert_eq!(v1[4], VERSION_ROW);
-        assert_eq!(read_trace(&mut v1.as_slice()).unwrap(), t);
-    }
-
-    #[test]
     fn tight_loops_compress_well() {
         // Alternating pair: deltas are ±1 → one byte each, plus 26 bytes
         // of container and payload header and one 16-byte block entry.
@@ -619,7 +453,7 @@ mod tests {
         let buf = b"NOPE\x00".to_vec();
         let err = read_trace(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, ClopError::TraceDecode { .. }), "{err}");
-        assert!(err.to_string().contains("magic"));
+        assert!(err.to_string().contains("magic \"NOPE\""), "{err}");
     }
 
     #[test]
@@ -632,99 +466,52 @@ mod tests {
 
     #[test]
     fn rejects_truncation_at_every_boundary() {
-        let t = Trace::from_indices([1, 2, 3, 1_000_000]);
-        for buf in [legacy::cltc_v1(&ids(&t)), v2(&t)] {
-            for k in 0..buf.len() {
-                let err = read_trace(&mut &buf[..k]).unwrap_err();
-                assert!(
-                    matches!(err, ClopError::TraceDecode { .. } | ClopError::Io { .. }),
-                    "v{} prefix {}: {}",
-                    buf[4],
-                    k,
-                    err
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rejects_every_single_bit_flip() {
-        let buf = legacy::cltc_v1(&[7, 3, 3, 900, 7]);
-        for byte in 0..buf.len() {
-            for bit in 0..8 {
-                let mut bad = buf.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    read_trace(&mut bad.as_slice()).is_err(),
-                    "flip at {}:{} went undetected",
-                    byte,
-                    bit
-                );
-            }
+        let buf = v2(&Trace::from_indices([1, 2, 3, 1_000_000]));
+        for k in 0..buf.len() {
+            let err = read_trace(&mut &buf[..k]).unwrap_err();
+            assert!(
+                matches!(err, ClopError::TraceDecode { .. }),
+                "prefix {}: {}",
+                k,
+                err
+            );
         }
     }
 
     #[test]
     fn hostile_event_count_fails_without_allocation() {
-        // A v1 header declaring 2^60 events in a 1-byte payload must fail
-        // on the count check, not attempt to decode (or allocate).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(VERSION_ROW);
-        let mut payload = Vec::new();
-        write_varint(&mut payload, 1u64 << 60).unwrap();
-        write_varint(&mut buf, payload.len() as u64).unwrap();
-        buf.extend_from_slice(&clop_util::crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("exceeds payload size"), "{err}");
-    }
-
-    #[test]
-    fn hostile_v0_count_fails_at_eof() {
-        // The legacy path has no payload length; a huge count simply hits
-        // end-of-data after the bytes that exist, without preallocating.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V0);
-        write_varint(&mut buf, u64::MAX >> 1).unwrap();
-        buf.extend_from_slice(&[0x02, 0x02, 0x02]); // three real events
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("end of data"), "{err}");
-    }
-
-    #[test]
-    fn repaired_read_salvages_event_prefix_of_v1() {
-        let t = Trace::from_indices([4, 9, 2, 2, 7, 100, 3]);
-        let mut buf = legacy::cltc_v1(&ids(&t));
-        // Chop off the last two payload bytes: header intact, payload torn.
-        buf.truncate(buf.len() - 2);
-        let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
-        assert!(report.dropped > 0);
-        assert!(!report.is_clean());
-        assert_eq!(report.decoded as usize, salvaged.len());
-        // The salvaged events are a prefix of the original.
-        let orig: Vec<BlockId> = t.events().to_vec();
-        assert_eq!(&orig[..salvaged.len()], salvaged.events());
+        // A checksummed payload declaring 2^60 events over an empty
+        // directory must fail on the count check, not attempt to decode
+        // (or allocate).
+        let mut payload = (1u64 << 60).to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0; 8]); // n_blocks 0, flags 0
+        let err = read_trace(&mut container(&payload).as_slice()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("declares 1152921504606846976 events"),
+            "{err}"
+        );
     }
 
     #[test]
     fn repaired_read_of_clean_file_is_clean() {
         let t = Trace::from_indices([1, 5, 1]);
-        for buf in [legacy::cltc_v1(&ids(&t)), v2(&t)] {
-            let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
-            assert_eq!(salvaged, t);
-            assert!(report.is_clean());
-            assert_eq!(report.crc_ok, Some(true));
-            assert_eq!(report.dropped, 0);
-        }
+        let (salvaged, report) = read_trace_repaired(&mut v2(&t).as_slice()).unwrap();
+        assert_eq!(salvaged, t);
+        assert!(report.is_clean());
+        assert!(report.crc_ok);
+        assert_eq!(report.dropped, 0);
     }
 
     #[test]
-    fn repaired_read_flags_v1_crc_damage() {
-        let mut buf = legacy::cltc_v1(&[1, 5, 1, 9]);
-        let last = buf.len() - 1;
-        buf[last] ^= 0x01; // flip a payload bit that still decodes
-        let (_, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
+    fn repaired_read_flags_crc_damage() {
+        // Damage to the stored payload checksum leaves every block clean:
+        // nothing is dropped, yet the report is not clean.
+        let mut buf = v2(&Trace::from_indices([1, 5, 1, 9]));
+        buf[6] ^= 0x01;
+        let (salvaged, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
+        assert_eq!(salvaged.len(), 4);
+        assert_eq!((report.dropped, report.crc_ok), (0, false));
         assert!(!report.is_clean());
     }
 
@@ -737,7 +524,7 @@ mod tests {
             let (back, report) = read_trace_repaired(&mut buf.as_slice()).unwrap();
             assert_eq!(back, t);
             assert!(report.is_clean());
-            assert_eq!(report.crc_ok, Some(true));
+            assert!(report.crc_ok);
         }
     }
 
@@ -777,7 +564,7 @@ mod tests {
         );
         assert_eq!(report.declared, n as u64);
         assert_eq!(report.dropped, 100);
-        assert_eq!(report.crc_ok, Some(false));
+        assert!(!report.crc_ok);
         assert!(!report.is_clean());
     }
 
@@ -790,7 +577,7 @@ mod tests {
         let (salvaged, report) = read_trace_repaired(&mut &full[..cut]).unwrap();
         assert!(report.dropped > 0);
         assert!(!report.is_clean());
-        assert_eq!(report.crc_ok, Some(false));
+        assert!(!report.crc_ok);
         assert_eq!(salvaged.events(), &t.events()[..salvaged.len()]);
     }
 

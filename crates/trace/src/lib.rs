@@ -21,7 +21,7 @@
 //!   crate),
 //! * [`histogram`] — reuse-distance histograms and miss-ratio projection,
 //! * [`io`] — the CLTC trace container and mapping files: every writer
-//!   emits version 2, every reader also accepts versions 0 and 1,
+//!   emits version 2, and every reader accepts exactly that,
 //! * [`columnar`] — the CLTC v2 columnar payload: independently decodable
 //!   delta blocks with per-block CRCs, zero-copy block iteration, and
 //!   block-granular salvage,

@@ -15,9 +15,9 @@
 //! payload                a complete CLTC trace container (the segment)
 //! ```
 //!
-//! [`write_shard`] embeds a CLTC v2 (columnar) container. Readers accept
-//! any container version, so shards written with a v1 payload by earlier
-//! releases still fold to the same answers.
+//! [`write_shard`] embeds a CLTC v2 (columnar) container, and the readers
+//! accept exactly that: a shard whose payload is any other container is a
+//! [`ClopError::TraceDecode`] naming what was found.
 //!
 //! The segment spans the shard's backward overlap, core, and forward
 //! extension (see [`crate::shard`]), so a reader can recompute the shard's
@@ -28,9 +28,9 @@
 //! before any events are trusted.
 //!
 //! [`read_shard_repaired`] mirrors [`crate::read_trace_repaired`]: an
-//! intact header plus a damaged payload yields the salvageable event
-//! prefix and a [`RepairReport`], letting ingestion policy decide whether
-//! the loss is acceptable.
+//! intact header plus a damaged payload yields the events of the clean
+//! block prefix and a [`RepairReport`], letting ingestion policy decide
+//! whether the loss is acceptable.
 
 use crate::io::{read_trace, read_trace_repaired, write_trimmed, Decoder, RepairReport};
 use crate::shard::shards;
@@ -164,8 +164,8 @@ pub fn read_shard<R: Read>(r: &mut R) -> ClopResult<ShardFile> {
     })
 }
 
-/// Read a shard file, salvaging the longest cleanly decodable event prefix
-/// of a damaged payload.
+/// Read a shard file, salvaging the longest clean block prefix of a
+/// damaged payload.
 ///
 /// The CLSH header (and the embedded CLTC header) must be intact —
 /// otherwise the events cannot be located or attributed and this returns
@@ -233,7 +233,6 @@ pub fn split_shards_columnar(
 mod tests {
     use super::*;
     use crate::trace::BlockId;
-    use clop_oracle::legacy;
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -250,13 +249,6 @@ mod tests {
         let mut buf = Vec::new();
         write_shard(&mut buf, seq, core_start, core_end, t).unwrap();
         buf
-    }
-
-    /// A CLSH file with a legacy CLTC v1 segment, as earlier releases
-    /// wrote it.
-    fn v1_shard_bytes(seq: u64, core_start: usize, core_end: usize, t: &TrimmedTrace) -> Vec<u8> {
-        let ids: Vec<u32> = t.iter().map(|b| b.0).collect();
-        legacy::clsh_v1(seq, core_start, core_end, &ids)
     }
 
     /// The version byte of the CLTC container embedded in a CLSH file.
@@ -290,14 +282,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_shards_read_like_v2() {
-        let t = random_trace(21, 120, 11);
-        let v1 = v1_shard_bytes(7, 10, 100, &t);
-        assert_eq!(embedded_version(&v1), 1);
-        assert_eq!(
-            read_shard(&mut v1.as_slice()).unwrap(),
-            read_shard(&mut shard_bytes(7, 10, 100, &t).as_slice()).unwrap()
-        );
+    fn writer_emits_pinned_bytes() {
+        // Recorded from the writer before the retired read paths were
+        // deleted: the bytes on disk must not move.
+        const SHARD: [u8; 60] = [
+            67, 76, 83, 72, 1, 7, 1, 4, 207, 58, 120, 228, 67, 76, 84, 67, 2, 38, 110, 104, 162,
+            21, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0,
+            0, 185, 157, 164, 222, 8, 10, 13, 10, 202, 4,
+        ];
+        let segment = TrimmedTrace::from_indices([4, 9, 2, 7, 300]);
+        assert_eq!(shard_bytes(7, 1, 4, &segment), SHARD);
     }
 
     #[test]
@@ -343,20 +337,17 @@ mod tests {
 
     #[test]
     fn rejects_every_single_bit_flip() {
-        let t = random_trace(5, 60, 9);
-        for buf in [shard_bytes(3, 5, 55, &t), v1_shard_bytes(3, 5, 55, &t)] {
-            for byte in 0..buf.len() {
-                for bit in 0..8 {
-                    let mut bad = buf.clone();
-                    bad[byte] ^= 1 << bit;
-                    assert!(
-                        read_shard(&mut bad.as_slice()).is_err(),
-                        "v{} flip at {}:{} went undetected",
-                        embedded_version(&buf),
-                        byte,
-                        bit
-                    );
-                }
+        let buf = shard_bytes(3, 5, 55, &random_trace(5, 60, 9));
+        for byte in 0..buf.len() {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    read_shard(&mut bad.as_slice()).is_err(),
+                    "flip at {}:{} went undetected",
+                    byte,
+                    bit
+                );
             }
         }
     }
@@ -372,18 +363,21 @@ mod tests {
 
     #[test]
     fn repaired_read_salvages_and_clamps_core() {
-        // A torn payload tail: v2 drops the damaged block, v1 the damaged
-        // events; either way the core is clamped to what survived.
-        let t = random_trace(7, 200, 11);
-        for mut buf in [shard_bytes(2, 20, 200, &t), v1_shard_bytes(2, 20, 200, &t)] {
-            buf.truncate(buf.len() - 3);
-            let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
-            assert!(report.dropped > 0);
-            assert!(!report.is_clean());
-            assert_eq!(sf.seq, 2);
-            assert_eq!(sf.core_end, sf.trace.len());
-            assert_eq!(&t.events()[..sf.trace.len()], sf.trace.events());
-        }
+        // A torn payload tail drops the damaged last block; the core is
+        // clamped to the blocks that survived.
+        let t = random_trace(7, 5000, 11);
+        let n = t.len();
+        let mut buf = shard_bytes(2, 20, n, &t);
+        buf.truncate(buf.len() - 3);
+        let (sf, report) = read_shard_repaired(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            report.dropped as usize,
+            n - crate::columnar::DEFAULT_BLOCK_EVENTS
+        );
+        assert!(!report.is_clean());
+        assert_eq!(sf.seq, 2);
+        assert_eq!(sf.core_end, sf.trace.len());
+        assert_eq!(&t.events()[..sf.trace.len()], sf.trace.events());
     }
 
     #[test]

@@ -211,13 +211,29 @@ fn compaction_at_capacity_four_matches_naive() {
     assert_eq!(fast.top(4), slow.top(4));
 }
 
+/// A CLTC v2 container of 16-event blocks: salvage keeps a prefix cut at
+/// any multiple of 16 events, so corrupted copies of a few hundred events
+/// salvage to many different lengths.
+fn small_block_container(ids: &[u32]) -> Vec<u8> {
+    let events: Vec<BlockId> = ids.iter().copied().map(BlockId).collect();
+    let payload = clop_trace::columnar::encode(&events, 16).unwrap();
+    let mut buf = b"CLTC\x02".to_vec();
+    let mut len = payload.len();
+    while len >= 0x80 {
+        buf.push((len & 0x7f) as u8 | 0x80);
+        len >>= 7;
+    }
+    buf.push(len as u8);
+    buf.extend_from_slice(&clop_util::crc32(&payload).to_le_bytes());
+    buf.extend_from_slice(&payload);
+    buf
+}
+
 /// Traces that survive container corruption (via the repair reader) are
 /// ordinary traces: the Fenwick engine and the naive oracle must agree on
 /// them exactly, just as they do on cleanly generated inputs. Corrupted
 /// payloads can decode to arbitrary block ids, so salvaged traces whose
-/// id space would blow up the engines' dense capacity are skipped. The
-/// files are legacy v1 containers: their salvage keeps an event prefix
-/// (v2 salvage drops whole blocks), which yields the most varied traces.
+/// id space would blow up the engines' dense capacity are skipped.
 #[test]
 fn repaired_corrupted_traces_keep_engines_in_agreement() {
     use clop_trace::io;
@@ -226,7 +242,7 @@ fn repaired_corrupted_traces_keep_engines_in_agreement() {
     let mut exercised = 0usize;
     check_n("diff/repaired_corruption", 120, |rng| {
         let ids = vec_of_indices(rng, 250, 48);
-        let buf = clop_oracle::legacy::cltc_v1(&ids);
+        let buf = small_block_container(&ids);
         let seed = rng.next_u64();
         for c in seeded_corruptions(seed, &buf, 4) {
             let Ok((salvaged, report)) = io::read_trace_repaired(&mut c.data.as_slice()) else {

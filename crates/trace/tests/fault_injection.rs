@@ -9,16 +9,14 @@
 //!
 //! Coverage: >500 seeded corruptions (bit flips, byte rewrites, span
 //! duplication/deletion/zeroing, garbage insertion/appends) plus
-//! truncation at *every* byte boundary, applied to columnar-v2 containers
-//! (the written format) and legacy v1 and v0 containers (read-only, from
-//! `clop_oracle::legacy`) of representative traces, driven through
+//! truncation at *every* byte boundary, applied to the CLTC v2 containers
+//! the writers emit for representative traces, driven through
 //! `read_trace`, `read_trimmed` and `read_trace_repaired`; hostile
 //! handcrafted headers (astronomical counts, lying lengths) round it out.
 //! A dedicated columnar storm additionally checks the salvage contract:
 //! whatever survives is a clean prefix and the report accounts for every
 //! dropped event.
 
-use clop_oracle::legacy;
 use clop_trace::io::{read_mapping, read_trace, read_trace_repaired, read_trimmed, write_trace};
 use clop_trace::{BlockMap, Trace};
 use clop_util::fault::{all_truncations, seeded_corruptions};
@@ -43,9 +41,9 @@ fn sample_traces() -> Vec<Trace> {
 }
 
 /// Drive one corrupted byte string through every read entry point. The
-/// decoders may accept (a corruption can be a no-op for v0, which has no
-/// checksum) or reject — but rejection must be a structured error, and
-/// nothing may panic.
+/// decoders may accept (salvage, or a corruption that appends garbage past
+/// the declared payload) or reject — but rejection must be a structured
+/// error, and nothing may panic.
 fn exercise(data: &[u8], what: &str) {
     if let Err(e) = read_trace(&mut &data[..]) {
         assert_structured(&e, what);
@@ -83,26 +81,15 @@ fn assert_structured(e: &ClopError, what: &str) {
 fn corruption_storm_returns_structured_errors_only() {
     let mut cases = 0usize;
     for (ti, trace) in sample_traces().into_iter().enumerate() {
-        let ids: Vec<u32> = trace.events().iter().map(|b| b.0).collect();
-        for version in [0u8, 1, 2] {
-            let buf = match version {
-                0 => legacy::cltc_v0(&ids),
-                1 => legacy::cltc_v1(&ids),
-                _ => {
-                    let mut buf = Vec::new();
-                    write_trace(&mut buf, &trace).unwrap();
-                    buf
-                }
-            };
-            let seed = 0xC10F_0000 + ti as u64 * 3 + version as u64;
-            for c in seeded_corruptions(seed, &buf, 40) {
-                exercise(&c.data, &c.description);
-                cases += 1;
-            }
-            for c in all_truncations(&buf) {
-                exercise(&c.data, &c.description);
-                cases += 1;
-            }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        for c in seeded_corruptions(0xC10F_0000 + ti as u64, &buf, 400) {
+            exercise(&c.data, &c.description);
+            cases += 1;
+        }
+        for c in all_truncations(&buf) {
+            exercise(&c.data, &c.description);
+            cases += 1;
         }
     }
     assert!(
@@ -139,7 +126,7 @@ fn columnar_storm_salvages_clean_prefixes_only() {
                 "{}: salvage longer than original",
                 what
             );
-            if report.dropped > 0 || report.crc_ok == Some(false) {
+            if report.dropped > 0 || !report.crc_ok {
                 assert_eq!(
                     salvage.events(),
                     &trace.events()[..salvage.len()],
@@ -166,33 +153,56 @@ fn columnar_storm_salvages_clean_prefixes_only() {
 }
 
 #[test]
-fn every_truncation_of_a_v1_container_is_rejected() {
-    // Stronger than "no panic": a v1 container is length- and
+fn every_truncation_of_a_container_is_rejected() {
+    // Stronger than "no panic": a container is length- and
     // checksum-framed, so *every* proper prefix must be rejected outright.
-    let buf = legacy::cltc_v1(&[3, 1, 4, 1, 5, 9, 2, 6, 1 << 24]);
+    let mut buf = Vec::new();
+    write_trace(
+        &mut buf,
+        &Trace::from_indices([3, 1, 4, 1, 5, 9, 2, 6, 1 << 24]),
+    )
+    .unwrap();
     for c in all_truncations(&buf) {
         let e = read_trace(&mut &c.data[..]).unwrap_err();
         assert_structured(&e, &c.description);
     }
 }
 
+/// A container around `payload` with a correct length and checksum.
+fn container(payload: &[u8]) -> Vec<u8> {
+    let mut buf = b"CLTC\x02".to_vec();
+    buf.push(payload.len() as u8); // one-byte varint: payloads here are < 128 bytes
+    buf.extend_from_slice(&clop_util::crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
 #[test]
 fn hostile_headers_fail_fast_without_allocation() {
-    // A v0 header claiming 2^60 events over an empty body: the decoder
-    // must fail at EOF, not preallocate. (Completing at all is the
-    // allocation proof — 2^60 events would be an 8 EB Vec.)
-    let mut hostile = b"CLT1".to_vec();
-    hostile.extend([0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x10]);
-    let e = read_trace(&mut &hostile[..]).unwrap_err();
-    assert_structured(&e, "v0 with 2^60 count");
-
-    // A v1 header whose payload length lies (tiny payload, huge count).
-    let mut lying = b"CLTC\x01".to_vec();
-    lying.push(3); // payload_len = 3
+    // A header whose payload length lies: 2^60 bytes declared, 16 present.
+    // The reader must stop at end of data, not preallocate. (Completing at
+    // all is the allocation proof — 2^60 bytes is an exabyte.)
+    let mut lying = b"CLTC\x02".to_vec();
+    lying.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]); // 2^60
     lying.extend([0, 0, 0, 0]); // crc
-    lying.extend([0xFF, 0xFF, 0x40]); // count varint ≈ 2^20, payload is done
+    lying.extend([0; 16]); // an empty payload header
     let e = read_trace(&mut &lying[..]).unwrap_err();
-    assert_structured(&e, "v1 count exceeding payload");
+    assert_structured(&e, "payload length exceeding the data");
+    let (salvaged, report) = read_trace_repaired(&mut &lying[..]).unwrap();
+    assert!(salvaged.is_empty() && !report.is_clean());
+
+    // A checksummed payload declaring 2^60 events over an empty directory.
+    let mut events = (1u64 << 60).to_le_bytes().to_vec();
+    events.extend([0; 8]); // n_blocks 0, flags 0
+    let e = read_trace(&mut &container(&events)[..]).unwrap_err();
+    assert_structured(&e, "2^60 declared events");
+
+    // A checksummed payload whose directory claims u32::MAX blocks.
+    let mut blocks = 1u64.to_le_bytes().to_vec();
+    blocks.extend(u32::MAX.to_le_bytes());
+    blocks.extend([0; 4]); // flags 0
+    let e = read_trace(&mut &container(&blocks)[..]).unwrap_err();
+    assert_structured(&e, "u32::MAX directory entries");
 }
 
 #[test]

@@ -34,6 +34,8 @@
 //!   the network chaos suites.
 //! - [`bytes`]: in-memory varint encode/decode for the incremental-state
 //!   snapshot formats.
+//! - [`vars`]: typed, range-checked reads of the `CLOP_*` configuration
+//!   variables, shared by the daemon and the experiment runner.
 
 pub mod atomicio;
 pub mod bench;
@@ -47,6 +49,7 @@ pub mod fxhash;
 pub mod json;
 pub mod pool;
 pub mod rng;
+pub mod vars;
 
 pub use atomicio::atomic_write;
 pub use check::check;
