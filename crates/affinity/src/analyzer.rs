@@ -40,9 +40,9 @@
 //! factor replaced by actual co-residence counts.
 
 use crate::incremental::{AffinityDelta, AffinityState};
-use crate::shard::{heat_ranks, measure_region};
+use crate::shard::measure_region;
 use clop_trace::shard::shards_adaptive;
-use clop_trace::{BlockId, TrimmedTrace};
+use clop_trace::{BlockId, TraceStats, TrimmedTrace};
 use clop_util::pool::parallel_map;
 use clop_util::FxHashMap;
 
@@ -69,26 +69,37 @@ impl PairThresholds {
     /// and `finalize` applies the Definition 3 coverage filter — the same
     /// machinery the streaming path uses. A single region (the sequential
     /// case, and any trace too small for adaptive sharding to split) applies
-    /// the coverage filter directly against the trace-wide occurrence counts,
-    /// skipping the delta round trip; the fold's equivalence to this path is
-    /// pinned by the property suites.
+    /// the coverage filter directly against the trace index's occurrence
+    /// counts, skipping the delta round trip; the fold's equivalence to this
+    /// path is pinned by the property suites. Either way the trace is
+    /// indexed once and every region reads the one index.
     pub fn measure_jobs(trace: &TrimmedTrace, w_max: u32, jobs: usize) -> Self {
+        Self::measure_indexed(trace, &TraceStats::of(trace), w_max, jobs)
+    }
+
+    /// [`PairThresholds::measure_jobs`] over the trace's index, built once
+    /// by a caller that reads it again (`analyze_jobs`).
+    pub(crate) fn measure_indexed(
+        trace: &TrimmedTrace,
+        stats: &TraceStats,
+        w_max: u32,
+        jobs: usize,
+    ) -> Self {
         let w_max = w_max.max(2);
-        let (cap, rank, nd) = heat_ranks(trace);
         let regions = shards_adaptive(trace, jobs, w_max as usize + 1, w_max as usize);
         if let [sh] = regions.as_slice() {
-            let reported = measure_region(trace, w_max, cap, &rank, nd, *sh);
-            let counts = trace.occurrence_counts();
+            let (ids, counts) = (stats.heat_order(), stats.heat_counts());
             let mut map = FxHashMap::default();
-            for ((lo, hi), (thr, fin_lo, fin_hi)) in reported {
-                if thr >= 2 && fin_lo == counts[lo as usize] && fin_hi == counts[hi as usize] {
-                    map.insert((lo, hi), thr);
+            for ((lo, hi), (thr, fin_lo, fin_hi)) in measure_region(stats, w_max, *sh) {
+                let (lo, hi) = (lo as usize, hi as usize);
+                if thr >= 2 && fin_lo == counts[lo] && fin_hi == counts[hi] {
+                    map.insert((ids[lo].0, ids[hi].0), thr);
                 }
             }
             return PairThresholds { map, w_max };
         }
         let deltas = parallel_map(jobs, regions, |i, sh| {
-            AffinityDelta::of_region(i as u64, trace, w_max, cap, &rank, nd, sh)
+            AffinityDelta::of_region(i as u64, stats, w_max, sh)
         });
         let mut state = AffinityState::new(w_max);
         for d in &deltas {

@@ -16,7 +16,6 @@
 use crate::analyzer::PairThresholds;
 use crate::AffinityConfig;
 use clop_trace::{BlockId, TraceStats, TrimmedTrace};
-use std::collections::HashMap;
 
 /// One level of the hierarchy: the w-window affinity partition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,35 +64,39 @@ impl AffinityHierarchy {
         Self::build_from_stats(&TraceStats::of(trace), thresholds, config)
     }
 
-    /// [`AffinityHierarchy::build`] from the trace's order statistics
-    /// instead of the trace itself — the incremental serving path folds
-    /// [`clop_trace::StatsState`] from shards and never materializes the
-    /// full trace.
+    /// [`AffinityHierarchy::build`] from the trace index alone — the
+    /// incremental serving path folds [`clop_trace::StatsState`] from
+    /// shards and never materializes the full trace.
     ///
-    /// Equivalence: `build` uses first-appearance *positions* only in
-    /// comparisons (edge tie-breaks, atom ranks, final-atom ordering), so
-    /// substituting each block's ordinal in the first-appearance order — an
-    /// order-isomorphic relabeling — produces the identical hierarchy.
+    /// The hierarchy reads two statistics: first-appearance positions,
+    /// only ever compared (edge tie-breaks, atom precedence, final-atom
+    /// order), and occurrence counts (group heat, summed as atoms merge).
+    /// Atoms are numbered by first appearance, so both are plain array
+    /// reads and the atoms listed in index order are already in
+    /// first-appearance order.
     pub fn build_from_stats(
         stats: &TraceStats,
         thresholds: &PairThresholds,
         config: AffinityConfig,
     ) -> Self {
-        // First-appearance order; ordinal positions stand in for trace
-        // positions (only ever compared, never measured).
-        let order: Vec<BlockId> = stats.first_appearance().to_vec();
-        let first_pos: HashMap<u32, usize> =
-            order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
+        let ids = stats.heat_order();
+        let first = stats.first_ranks();
+        let n = first.len();
+        // First-appearance position of each heat rank.
+        let mut pos = vec![0usize; n];
+        for (i, &r) in first.iter().enumerate() {
+            pos[r as usize] = i;
+        }
 
-        // Union-find over blocks, with per-root ordered member lists.
-        let n = order.len();
-        let index_of: HashMap<u32, usize> =
-            order.iter().enumerate().map(|(i, b)| (b.0, i)).collect();
+        // Union-find over first-appearance positions. Each root keeps its
+        // atom's ordered members (the root's own block first) and its
+        // summed heat.
         let mut parent: Vec<usize> = (0..n).collect();
-        let mut members: Vec<Vec<BlockId>> = order.iter().map(|&b| vec![b]).collect();
-        // Rank of an atom = first appearance of its earliest block; the
-        // earlier atom keeps its position and absorbs the later one.
-        let rank: Vec<usize> = order.iter().map(|b| first_pos[&b.0]).collect();
+        let mut members: Vec<Vec<BlockId>> = first.iter().map(|&r| vec![ids[r as usize]]).collect();
+        let mut heat: Vec<u64> = first
+            .iter()
+            .map(|&r| stats.heat_counts()[r as usize])
+            .collect();
 
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
@@ -103,30 +106,22 @@ impl AffinityHierarchy {
             x
         }
 
-        // Edges sorted by (threshold, first-appearance of endpoints).
+        // The atoms, earliest first appearance first.
+        let roots = |parent: &mut [usize]| -> Vec<usize> {
+            (0..parent.len())
+                .filter(|&i| find(parent, i) == i)
+                .collect()
+        };
+
+        // Edges sorted by (threshold, first appearance of endpoints).
         let mut edges: Vec<(u32, usize, usize)> = thresholds
             .pairs()
             .filter_map(|(x, y, t)| {
-                let (ix, iy) = (index_of.get(&x.0)?, index_of.get(&y.0)?);
-                Some((t, *ix.min(iy), *ix.max(iy)))
+                let (a, b) = (pos[stats.rank(x)? as usize], pos[stats.rank(y)? as usize]);
+                Some((t, a.min(b), a.max(b)))
             })
             .collect();
-        edges.sort_unstable_by_key(|&(t, x, y)| (t, rank[x].min(rank[y]), rank[x].max(rank[y])));
-
-        let snapshot = |parent: &mut Vec<usize>,
-                        members: &Vec<Vec<BlockId>>,
-                        rank: &Vec<usize>,
-                        w: u32|
-         -> AffinityPartition {
-            let mut roots: Vec<usize> = (0..parent.len())
-                .filter(|&i| find(parent, i) == i)
-                .collect();
-            roots.sort_unstable_by_key(|&r| rank[r]);
-            AffinityPartition {
-                w,
-                groups: roots.iter().map(|&r| members[r].clone()).collect(),
-            }
-        };
+        edges.sort_unstable();
 
         let mut levels = Vec::new();
         let mut ei = 0usize;
@@ -148,41 +143,33 @@ impl AffinityHierarchy {
                     continue;
                 }
                 // The atom that appeared earlier keeps its position.
-                let (keep, gone) = if rank[rx] <= rank[ry] {
-                    (rx, ry)
-                } else {
-                    (ry, rx)
-                };
+                let (keep, gone) = (rx.min(ry), rx.max(ry));
                 let moved = std::mem::take(&mut members[gone]);
                 members[keep].extend(moved);
+                heat[keep] += heat[gone];
                 parent[gone] = keep;
             }
-            levels.push(snapshot(&mut parent, &members, &rank, w));
+            let groups = roots(&mut parent)
+                .iter()
+                .map(|&r| members[r].clone())
+                .collect();
+            levels.push(AffinityPartition { w, groups });
         }
-
-        let mut final_atoms = levels
-            .last()
-            .map(|p| p.groups.clone())
-            .unwrap_or_else(|| order.iter().map(|&b| vec![b]).collect());
 
         // Between-group order in the final layout: hottest groups first
         // (ties by first appearance). The bottom-up traversal fixes the
         // order *within* each group; packing the heavily-executed groups
         // together minimizes the hot footprint, so hot code occupies the
         // fewest cache lines.
-        let heat = |g: &Vec<BlockId>| -> u64 { g.iter().map(|&b| stats.count(b)).sum() };
-        final_atoms.sort_by_key(|g| {
-            let h = heat(g);
-            let r = g
-                .first()
-                .map(|b| first_pos.get(&b.0).copied().unwrap_or(usize::MAX))
-                .unwrap_or(usize::MAX);
-            (std::cmp::Reverse(h), r)
-        });
+        let mut top = roots(&mut parent);
+        top.sort_unstable_by_key(|&r| (std::cmp::Reverse(heat[r]), r));
 
         AffinityHierarchy {
             levels,
-            final_atoms,
+            final_atoms: top
+                .into_iter()
+                .map(|r| std::mem::take(&mut members[r]))
+                .collect(),
         }
     }
 

@@ -8,10 +8,12 @@
 //!   `(max credited footprint, per-direction credit counts)` plus the
 //!   core's per-block occurrence counts, keyed by the shard's sequence
 //!   number. A delta is computed from a standalone segment (backward
-//!   overlap + core + forward extension) with **local** coordinates — the
-//!   analysis only ever compares positions within a shard, so a delta
-//!   measured from a CLSH shard file is bit-identical to one measured in
-//!   place over the whole trace.
+//!   overlap + core + forward extension) with **local** coordinates: the
+//!   segment's own trace index ([`clop_trace::TraceStats`]) supplies the
+//!   heat ranks the kernel runs on and the core's counts. The analysis
+//!   only ever compares positions within a shard and ranks only steer
+//!   table indexing, so a delta measured from a CLSH shard file is
+//!   bit-identical to one measured in place over the whole trace.
 //! * [`AffinityState`] — the running fold. Absorbing a delta is `max` of
 //!   thresholds and `sum` of credit and occurrence counts — commutative
 //!   and associative, so any arrival order yields the same state; a
@@ -21,14 +23,15 @@
 //!   [`PairThresholds`] the batch analyzer computes once every shard has
 //!   been absorbed.
 //!
-//! The batch path (`PairThresholds::measure_jobs`) is itself expressed as
-//! this fold, so the equivalence is exercised by every existing test, not
-//! just the dedicated property suite.
+//! The multi-region batch path (`PairThresholds::measure_jobs`) is itself
+//! expressed as this fold over one shared trace index, so the equivalence
+//! is exercised by every existing test, not just the dedicated property
+//! suite.
 
 use crate::analyzer::PairThresholds;
-use crate::shard::{heat_ranks, measure_region};
+use crate::shard::measure_region;
 use clop_trace::shard::Shard;
-use clop_trace::TrimmedTrace;
+use clop_trace::{TraceStats, TrimmedTrace};
 use clop_util::bytes::{put_varint, ByteReader};
 use clop_util::{ClopError, ClopResult, FxHashMap};
 use std::collections::BTreeSet;
@@ -54,10 +57,11 @@ impl AffinityDelta {
     ///
     /// `segment` spans the shard's backward overlap, core, and forward
     /// extension; `core_start..core_end` (segment-local indices) is the
-    /// attributed range. Positions and heat ranks are segment-local — the
-    /// analysis only compares positions intra-shard and ranks only steer
-    /// internal table indexing, so the delta equals the one a whole-trace
-    /// pass would attribute to this core.
+    /// attributed range. Positions and heat ranks (the segment's own
+    /// index) are segment-local — the analysis only compares positions
+    /// intra-shard and ranks only steer internal table indexing, so the
+    /// delta equals the one a whole-trace pass would attribute to this
+    /// core.
     pub fn measure(
         seq: u64,
         segment: &TrimmedTrace,
@@ -65,37 +69,49 @@ impl AffinityDelta {
         core_start: usize,
         core_end: usize,
     ) -> AffinityDelta {
-        let w_max = w_max.max(2);
-        let (cap, rank, nd) = heat_ranks(segment);
-        let sh = Shard {
-            start: 0,
-            core_start: core_start.min(segment.len()),
-            core_end: core_end.min(segment.len()),
-            end: segment.len(),
-        };
-        AffinityDelta::of_region(seq, segment, w_max, cap, &rank, nd, sh)
+        AffinityDelta::measure_indexed(seq, &TraceStats::of(segment), w_max, core_start, core_end)
     }
 
-    /// Measure the delta of one region of a larger trace (the batch path:
-    /// heat ranks are precomputed once and shared across regions).
-    /// `w_max` must already be normalized to `>= 2`.
-    pub(crate) fn of_region(
+    /// [`AffinityDelta::measure`] over the segment's index (built by
+    /// [`TraceStats::of`]), for a caller that measures the TRG delta of the
+    /// same segment too.
+    pub fn measure_indexed(
         seq: u64,
-        trace: &TrimmedTrace,
+        segment: &TraceStats,
         w_max: u32,
-        cap: usize,
-        rank: &[u32],
-        nd: usize,
-        sh: Shard,
+        core_start: usize,
+        core_end: usize,
     ) -> AffinityDelta {
-        let reported = measure_region(trace, w_max, cap, rank, nd, sh);
-        let mut pairs: Vec<((u32, u32), PairRecord)> = reported.into_iter().collect();
+        let len = segment.ranked_events().len();
+        let sh = Shard {
+            start: 0,
+            core_start: core_start.min(len),
+            core_end: core_end.min(len),
+            end: len,
+        };
+        AffinityDelta::of_region(seq, segment, w_max.max(2), sh)
+    }
+
+    /// Measure the delta of one region of an indexed trace (the batch path
+    /// shares one index across its regions). `w_max` must already be
+    /// normalized to `>= 2`.
+    pub(crate) fn of_region(seq: u64, stats: &TraceStats, w_max: u32, sh: Shard) -> AffinityDelta {
+        let ids = stats.heat_order();
+        let mut pairs: Vec<((u32, u32), PairRecord)> = measure_region(stats, w_max, sh)
+            .into_iter()
+            .map(|((lo, hi), rec)| ((ids[lo as usize].0, ids[hi as usize].0), rec))
+            .collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
-        let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-        for e in &trace.events()[sh.core_start..sh.core_end] {
-            *counts.entry(e.0).or_insert(0) += 1;
+        let mut counts = vec![0u64; stats.num_distinct()];
+        for &r in &stats.ranked_events()[sh.core_start..sh.core_end] {
+            counts[r as usize] += 1;
         }
-        let mut occ: Vec<(u32, u64)> = counts.into_iter().collect();
+        let mut occ: Vec<(u32, u64)> = ids
+            .iter()
+            .zip(counts)
+            .filter(|&(_, c)| c > 0)
+            .map(|(id, c)| (id.0, c))
+            .collect();
         occ.sort_unstable_by_key(|&(id, _)| id);
         AffinityDelta {
             seq,
@@ -113,11 +129,6 @@ impl AffinityDelta {
     /// The (normalized) window bound the delta was measured at.
     pub fn w_max(&self) -> u32 {
         self.w_max
-    }
-
-    /// Number of pairs this shard credited.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
     }
 
     /// Number of core events this shard attributes.

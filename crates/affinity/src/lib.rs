@@ -38,7 +38,7 @@ pub use analyzer::PairThresholds;
 pub use hierarchy::{AffinityHierarchy, AffinityPartition};
 pub use incremental::{AffinityDelta, AffinityState};
 
-use clop_trace::{BlockId, TrimmedTrace};
+use clop_trace::{BlockId, TraceStats, TrimmedTrace};
 
 /// Configuration of the affinity model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +74,16 @@ pub fn analyze(trace: &TrimmedTrace, config: AffinityConfig) -> AffinityHierarch
 }
 
 /// [`analyze`] with the threshold measurement sharded over up to `jobs`
-/// workers. The hierarchy is bit-identical for any `jobs` value.
+/// workers. The hierarchy is bit-identical for any `jobs` value. Both
+/// stages read one trace index.
 pub fn analyze_jobs(
     trace: &TrimmedTrace,
     config: AffinityConfig,
     jobs: usize,
 ) -> AffinityHierarchy {
-    let thresholds = PairThresholds::measure_jobs(trace, config.w_max, jobs);
-    AffinityHierarchy::build(trace, &thresholds, config)
+    let stats = TraceStats::of(trace);
+    let thresholds = PairThresholds::measure_indexed(trace, &stats, config.w_max, jobs);
+    AffinityHierarchy::build_from_stats(&stats, &thresholds, config)
 }
 
 /// Convenience: the affinity-optimized code-block order for a trace —

@@ -7,8 +7,16 @@
 //! attributes occurrences, and the forward extension resolves core
 //! occurrences whose first partner access falls just past the core.
 //! [`PairThresholds::measure_jobs`](crate::PairThresholds::measure_jobs)
-//! fans the regions over the worker pool and merges with order-independent reductions, so the result is
-//! bit-identical for any worker count.
+//! fans the regions over the worker pool and merges with order-independent
+//! reductions, so the result is bit-identical for any worker count.
+//!
+//! The kernel reads the trace only through its index
+//! ([`clop_trace::TraceStats`]): the events as heat ranks, hottest first.
+//! Every per-block and per-pair table is indexed by rank and sized by the
+//! distinct-block count, so the hot pairs live in a small corner of the
+//! pair table that stays cache-resident, and an id near `u32::MAX` costs
+//! nothing. Block ids enter only where they decide a pair's lo/hi direction
+//! (the lower id is `lo`) and in the callers that key the output.
 //!
 //! **Merge exactness.** Each shard reports, per pair and per direction, the
 //! *max credited footprint* and the *count of credited occurrences*. Every
@@ -33,12 +41,13 @@
 //! nowhere, and the sum falls short of the trace-wide occurrence count).
 
 use clop_trace::shard::Shard;
-use clop_trace::TrimmedTrace;
+use clop_trace::TraceStats;
 use clop_util::FxHashMap;
 
-/// Per-shard, per-pair report: max credited footprint plus per-direction
-/// credited-occurrence counts (lower block, higher block).
-pub(crate) type ShardPairs = FxHashMap<(u32, u32), (u32, u64, u64)>;
+/// Per-shard, per-pair report in pair-creation order: the pair's heat
+/// ranks `(lo, hi)`, `lo` being the block with the lower id, then the max
+/// credited footprint and the per-direction credited-occurrence counts.
+pub(crate) type ShardPairs = Vec<((u32, u32), (u32, u64, u64))>;
 
 /// Resolution state for one direction (one block's occurrences) of a pair.
 ///
@@ -124,22 +133,17 @@ const DEAD: u32 = u32::MAX;
 /// Occurrences whose partner never comes within the window in either
 /// direction are credited nowhere, which the caller detects by counting.
 ///
-/// `rank` maps block ids to dense first-appearance ranks (`nd` of them);
-/// it only steers internal indexing and cannot affect results.
-pub(crate) fn measure_region(
-    trace: &TrimmedTrace,
-    w_max: u32,
-    cap: usize,
-    rank: &[u32],
-    nd: usize,
-    sh: Shard,
-) -> ShardPairs {
-    let ev = trace.events();
+/// `sh` indexes `stats.ranked_events()`; ranks only steer internal
+/// indexing and cannot affect results.
+pub(crate) fn measure_region(stats: &TraceStats, w_max: u32, sh: Shard) -> ShardPairs {
+    let ev = stats.ranked_events();
+    let ids = stats.heat_order();
+    let nd = stats.num_distinct();
     let walk_len = w_max as usize + 1;
     // Per-block core-occurrence positions, append-only. Directions index
     // into these with their `next` cursor; nothing is ever pruned, so the
     // cursors stay valid and examinations read contiguous slices.
-    let mut occ: Vec<Vec<u32>> = vec![Vec::new(); cap];
+    let mut occ: Vec<Vec<u32>> = vec![Vec::new(); nd];
     // The walk — the `walk_len` most recently used distinct blocks with
     // their last-access positions, most recent first — is maintained
     // directly as two parallel contiguous arrays: truncated LRU promotion
@@ -170,21 +174,20 @@ pub(crate) fn measure_region(
     // the pair would have been created then) and the window start only
     // moves forward, so its forward witness is infinite for good. A pair
     // born with such an occurrence on either side is dead on arrival.
-    let born_dead = |occ: &[Vec<u32>], b: u32, wstart: u32| {
-        occ[b as usize].first().is_some_and(|&p| p < wstart)
+    let born_dead = |occ: &[Vec<u32>], r: u32, wstart: u32| {
+        occ[r as usize].first().is_some_and(|&p| p < wstart)
     };
 
     // The index IS the trace position (`now`, window arithmetic), not just
     // a subscript; an enumerate/skip chain would bury that.
     #[allow(clippy::needless_range_loop)]
     for t in sh.start..sh.end {
-        let a = ev[t];
-        let ai = a.0;
+        let ra = ev[t];
         let now = t as u32;
         // Promote `a` to the front of the walk. If `a` sits below the
         // truncation depth it is indistinguishable from unseen: either way
         // the other entries shift down one slot and the deepest falls off.
-        let d = match walk_blocks.iter().position(|&b| b == ai) {
+        let d = match walk_blocks.iter().position(|&b| b == ra) {
             Some(d) => d,
             None => {
                 if walk_blocks.len() < walk_len {
@@ -196,7 +199,7 @@ pub(crate) fn measure_region(
         };
         walk_blocks.copy_within(0..d, 1);
         walk_times.copy_within(0..d, 1);
-        walk_blocks[0] = ai;
+        walk_blocks[0] = ra;
         walk_times[0] = now;
         if t < sh.core_start {
             continue; // warm-up: recency state only
@@ -213,51 +216,61 @@ pub(crate) fn measure_region(
             0
         };
 
-        let ra = rank[ai as usize] as usize;
+        let ai = ids[ra as usize];
         let plimit = walk_blocks.len().min(w_max as usize);
         // The depth `i` is the backward-witness footprint, not just a
         // subscript into the walk.
         #[allow(clippy::needless_range_loop)]
         for i in 1..plimit {
-            let xi = walk_blocks[i];
+            let rx = walk_blocks[i];
             let cell = if dense {
-                tri(ra, rank[xi as usize] as usize)
+                tri(ra as usize, rx as usize)
             } else {
                 0
             };
             let raw = if dense {
                 idx[cell]
             } else {
-                let key = (ai.min(xi), ai.max(xi));
-                idx_map.get(&key).copied().unwrap_or(0)
+                idx_map.get(&(ra.min(rx), ra.max(rx))).copied().unwrap_or(0)
             };
             if raw == DEAD {
                 continue;
             }
             let si = if raw == 0 {
-                if born_dead(&occ, ai, wstart) || born_dead(&occ, xi, wstart) {
+                if born_dead(&occ, ra, wstart) || born_dead(&occ, rx, wstart) {
                     if dense {
                         idx[cell] = DEAD;
                     } else {
-                        idx_map.insert((ai.min(xi), ai.max(xi)), DEAD);
+                        idx_map.insert((ra.min(rx), ra.max(rx)), DEAD);
                     }
                     continue;
                 }
                 states.push(PairState::new());
-                keys.push((ai.min(xi), ai.max(xi)));
+                // A pair's direction is fixed by block id: `lo` is the
+                // block with the lower id. (Recomputed at each use: a flag
+                // held across the loop body costs registers.)
+                keys.push(if ai < ids[rx as usize] {
+                    (ra, rx)
+                } else {
+                    (rx, ra)
+                });
                 let si = states.len();
                 if dense {
                     idx[cell] = si as u32;
                 } else {
-                    idx_map.insert((ai.min(xi), ai.max(xi)), si as u32);
+                    idx_map.insert((ra.min(rx), ra.max(rx)), si as u32);
                 }
                 si
             } else {
                 raw as usize
             };
             let st = &mut states[si - 1];
-            let xdir = if ai < xi { &mut st.hi } else { &mut st.lo };
-            let list = &occ[xi as usize];
+            let xdir = if ai < ids[rx as usize] {
+                &mut st.hi
+            } else {
+                &mut st.lo
+            };
+            let list = &occ[rx as usize];
             // Fast path: no occurrence of x since the last examination —
             // nothing can be credited (pendings always have un-examined
             // list entries, so they imply `next < len` too).
@@ -292,7 +305,7 @@ pub(crate) fn measure_region(
                     if dense {
                         idx[cell] = DEAD;
                     } else {
-                        idx_map.insert((ai.min(xi), ai.max(xi)), DEAD);
+                        idx_map.insert((ra.min(rx), ra.max(rx)), DEAD);
                     }
                     continue;
                 }
@@ -339,20 +352,24 @@ pub(crate) fn measure_region(
             // The current occurrence of `a`: partner x at walk depth i
             // means a backward witness of footprint i + 1 <= w_max.
             if in_core {
-                let adir = if ai < xi { &mut st.lo } else { &mut st.hi };
+                let adir = if ai < ids[rx as usize] {
+                    &mut st.lo
+                } else {
+                    &mut st.hi
+                };
                 adir.pend.push((now, i as u32 + 1));
             }
         }
 
         if in_core {
-            occ[a.index()].push(now);
+            occ[ra as usize].push(now);
         }
     }
 
     // Shard end: surviving pendings never saw an in-window partner access;
     // the forward extension is maximal, so their global forward witness is
     // infinite too and the backward witness is exact.
-    let mut out = ShardPairs::default();
+    let mut out = ShardPairs::new();
     for ((lo, hi), mut st) in keys.into_iter().zip(states) {
         for dir in [&mut st.lo, &mut st.hi] {
             for (_, bw) in std::mem::take(&mut dir.pend) {
@@ -364,43 +381,16 @@ pub(crate) fn measure_region(
         // Pairs whose co-residence fell entirely in the overlap carry no
         // credits here; the shard owning the occurrences reports them.
         if thr > 0 {
-            out.insert((lo, hi), (thr, u64::from(st.lo.fin), u64::from(st.hi.fin)));
+            out.push(((lo, hi), (thr, u64::from(st.lo.fin), u64::from(st.hi.fin))));
         }
     }
     out
 }
 
-/// Dense heat ranks over a trace: `(cap, rank, nd)` where `cap` is the
-/// dense-array capacity (max id + 1), `rank[id]` maps a block to its heat
-/// rank (hottest first, ties by id), and `nd` is the distinct-block count.
-/// Ranks only steer internal indexing — the hot pairs then live in a small
-/// corner of the rank×rank pair table that stays cache-resident — and
-/// cannot affect results, which are keyed by block id.
-pub(crate) fn heat_ranks(trace: &TrimmedTrace) -> (usize, Vec<u32>, usize) {
-    let cap = trace
-        .events()
-        .iter()
-        .map(|b| b.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let counts = trace.occurrence_counts();
-    let mut by_heat: Vec<u32> = (0..cap as u32)
-        .filter(|&b| counts[b as usize] > 0)
-        .collect();
-    by_heat.sort_unstable_by_key(|&b| (std::cmp::Reverse(counts[b as usize]), b));
-    let nd = by_heat.len();
-    let mut rank = vec![0u32; cap];
-    for (r, &b) in by_heat.iter().enumerate() {
-        rank[b as usize] = r as u32;
-    }
-    (cap, rank, nd)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::PairThresholds;
-    use clop_trace::BlockId;
+    use clop_trace::{BlockId, TrimmedTrace};
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;

@@ -13,11 +13,14 @@
 //! than the relative tolerance (`CLOP_BENCH_TOLERANCE`, default `0.25`)
 //! *and* by more than an absolute slack (`CLOP_BENCH_ABS_SLACK_NS`,
 //! default `500`) — the slack keeps nanosecond-scale cases from failing
-//! the build on scheduler noise. A benchmark present in the baseline but
+//! the build on scheduler noise. Either variable must be a finite number
+//! `>= 0`; any other value prints the error and exits with status 2. A
+//! benchmark present in the baseline but
 //! missing from every current run fails the gate (a silent rename must
 //! update the baseline); new benchmarks are reported but not gated.
 
-use clop_util::Json;
+use clop_util::vars::Vars;
+use clop_util::{ClopResult, Json};
 use std::collections::BTreeMap;
 
 fn read_measurements(path: &str) -> BTreeMap<String, f64> {
@@ -115,12 +118,15 @@ fn write_min(out_path: &str, inputs: &[String]) {
     );
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .unwrap_or(default)
+/// The relative tolerance and the absolute slack in ns
+/// (`CLOP_BENCH_TOLERANCE`, `CLOP_BENCH_ABS_SLACK_NS`): finite numbers
+/// `>= 0`, defaults `0.25` and `500` when unset or empty.
+fn gate_limits(vars: &Vars) -> ClopResult<(f64, f64)> {
+    let finite = 0.0..f64::INFINITY;
+    Ok((
+        vars.get("CLOP_BENCH_TOLERANCE", 0.25, finite.clone())?,
+        vars.get("CLOP_BENCH_ABS_SLACK_NS", 500.0, finite)?,
+    ))
 }
 
 /// A relative guard between two benchmarks measured in the *same* runs:
@@ -203,8 +209,13 @@ fn main() {
     } else {
         vec!["bench_current.json"]
     };
-    let tolerance = env_f64("CLOP_BENCH_TOLERANCE", 0.25);
-    let slack_ns = env_f64("CLOP_BENCH_ABS_SLACK_NS", 500.0);
+    let (tolerance, slack_ns) = match gate_limits(&Vars::env()) {
+        Ok(limits) => limits,
+        Err(e) => {
+            eprintln!("bench_gate: {}", e);
+            std::process::exit(2);
+        }
+    };
 
     let baseline = read_measurements(baseline_path);
     let mut current: BTreeMap<String, f64> = BTreeMap::new();
@@ -319,4 +330,44 @@ fn main() {
         tolerance * 100.0,
         baseline_path
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gate's limits with the two variables set as given.
+    fn limits(tolerance: Option<&str>, slack: Option<&str>) -> ClopResult<(f64, f64)> {
+        let lookup = |name: &str| match name {
+            "CLOP_BENCH_TOLERANCE" => tolerance.map(str::to_string),
+            "CLOP_BENCH_ABS_SLACK_NS" => slack.map(str::to_string),
+            _ => None,
+        };
+        gate_limits(&Vars(&lookup))
+    }
+
+    #[test]
+    fn limits_default_when_unset_or_empty() {
+        assert_eq!(limits(None, None).unwrap(), (0.25, 500.0));
+        assert_eq!(limits(Some(""), Some("")).unwrap(), (0.25, 500.0));
+        assert_eq!(limits(Some("0.1"), Some("0")).unwrap(), (0.1, 0.0));
+    }
+
+    #[test]
+    fn bad_limits_are_errors_naming_the_variable_and_the_value() {
+        for bad in ["10%", "abc", "-1", "inf", "NaN"] {
+            let err = limits(Some(bad), None).unwrap_err().to_string();
+            assert!(
+                err.contains("CLOP_BENCH_TOLERANCE") && err.contains(bad),
+                "{}",
+                err
+            );
+            let err = limits(None, Some(bad)).unwrap_err().to_string();
+            assert!(
+                err.contains("CLOP_BENCH_ABS_SLACK_NS") && err.contains(bad),
+                "{}",
+                err
+            );
+        }
+    }
 }

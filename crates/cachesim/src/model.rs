@@ -40,7 +40,7 @@
 //! N-way simulation.
 
 use clop_trace::footprint::FootprintCurve;
-use clop_trace::{ReuseHistogram, TrimmedTrace};
+use clop_trace::{ReuseHistogram, TraceStats, TrimmedTrace};
 
 /// The footprint-composition model for one program.
 ///
@@ -58,9 +58,10 @@ impl CompositionModel {
     /// longest reuse of interest, typically a small multiple of the cache
     /// capacity in blocks).
     pub fn measure(trace: &TrimmedTrace, max_window: usize) -> Self {
+        let index = TraceStats::of(trace);
         CompositionModel {
-            reuse: ReuseHistogram::measure(trace),
-            footprint: FootprintCurve::measure_sampled(trace, max_window),
+            reuse: ReuseHistogram::measure_indexed(&index),
+            footprint: FootprintCurve::measure_sampled_indexed(&index, max_window),
         }
     }
 

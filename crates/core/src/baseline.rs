@@ -13,7 +13,7 @@ use crate::bbreorder::JUMP_BYTES;
 use crate::profile::Profile;
 use clop_ir::cfg::EdgeProfile;
 use clop_ir::{FuncId, GlobalBlockId, Layout, LocalBlockId, Module, Terminator};
-use clop_trace::TrimmedTrace;
+use clop_trace::{BlockId, TraceStats, TrimmedTrace};
 use std::collections::HashMap;
 
 /// Pettis–Hansen-style function ordering from a profiled function trace.
@@ -76,12 +76,8 @@ pub fn pettis_hansen_function_order(module: &Module, func_trace: &TrimmedTrace) 
     }
 
     // Emit chains by hotness (total occurrence count), then leftovers.
-    let counts = func_trace.occurrence_counts();
-    let heat = |c: &Vec<u32>| -> u64 {
-        c.iter()
-            .map(|&f| counts.get(f as usize).copied().unwrap_or(0))
-            .sum()
-    };
+    let stats = TraceStats::of(func_trace);
+    let heat = |c: &Vec<u32>| -> u64 { c.iter().map(|&f| stats.count(BlockId(f))).sum() };
     let mut live: Vec<Vec<u32>> = chains.into_iter().flatten().collect();
     live.sort_by_key(|c| std::cmp::Reverse(heat(c)));
     let mut order: Vec<FuncId> = Vec::with_capacity(n);

@@ -8,13 +8,18 @@
 //!   analysis parameters: the affinity fold ([`AffinityState`]), the TRG
 //!   fold ([`TrgState`]), and the trace order statistics ([`StatsState`])
 //!   the layout stages need. Absorbing a shard advances an *epoch*;
-//!   layout-query results are memoized per pipeline and invalidated by
-//!   epoch comparison, so a query after new shards recomputes while
+//!   layout-query results, and the fold's trace index they share, are
+//!   memoized per epoch, so a query after new shards recomputes while
 //!   repeated queries on a quiet version are free.
-//! * [`IncrementalStore`] — the process-wide registry keyed by
-//!   `(program version, analysis parameters)`. Two ingestion streams for
-//!   the same version at different windows fold into different states;
-//!   queries pick the state whose parameters they were registered with.
+//! * [`IncrementalStore`] — the process-wide registry of one version's
+//!   state each, keyed by program version. The store is created with the
+//!   analysis parameters every state folds at (a daemon folds at one
+//!   configuration). The folds depend only on the two windows, affinity
+//!   `w_max` and TRG `window`; `w_min` and `slots` are read at query time.
+//!   So the store refuses to restore a state folded at other windows — a
+//!   snapshot from a daemon configured so must not shadow, or be shadowed
+//!   by, the state this daemon folds — and adopts a state that differs
+//!   only in `w_min` or `slots` at its own parameters.
 //!
 //! [`VersionState::to_bytes`]/[`VersionState::from_bytes`] give a
 //! canonical snapshot (the three sub-folds are themselves canonical), used
@@ -27,12 +32,12 @@ use crate::optimizer::OptError;
 use crate::pipeline::{build_pipeline, PipelineParams};
 use crate::profile::ProfileConfig;
 use clop_affinity::{AffinityConfig, AffinityDelta, AffinityState};
-use clop_trace::{BlockId, ShardFile, StatsState};
+use clop_trace::{BlockId, ShardFile, StatsState, TraceStats};
 use clop_trg::{TrgConfig, TrgDelta, TrgState};
 use clop_util::bytes::{put_varint, ByteReader};
 use clop_util::{ClopError, ClopResult};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The analysis parameters one [`VersionState`] folds at. Both models'
 /// parameters are fixed at state creation: a shard is measured into both
@@ -47,14 +52,6 @@ pub struct AnalysisParams {
     pub trg: TrgConfig,
 }
 
-/// The parameter half of a store key: every field that distinguishes
-/// folds.
-type ParamsKey = (u32, u32, u64, u64);
-
-/// The store's shared-state table: `(program version, parameter key)` to
-/// an independently lockable fold.
-type VersionTable = HashMap<(String, ParamsKey), Arc<Mutex<VersionState>>>;
-
 impl AnalysisParams {
     /// The pipeline parameters equivalent to this state's analysis
     /// parameters (profiling config is irrelevant to a streamed trace;
@@ -66,16 +63,6 @@ impl AnalysisParams {
             profile: ProfileConfig::default(),
             jobs: 1,
         }
-    }
-
-    /// The store key tuple: every field that distinguishes folds.
-    fn key(&self) -> ParamsKey {
-        (
-            self.affinity.w_min,
-            self.affinity.w_max,
-            self.trg.window as u64,
-            self.trg.slots as u64,
-        )
     }
 }
 
@@ -106,6 +93,8 @@ pub struct VersionState {
     /// number of absorbed shards, which is just as monotonic.
     epoch: u64,
     memo: HashMap<String, Arc<LayoutResult>>,
+    /// The fold's trace index at this epoch, built by the first query.
+    index: OnceLock<TraceStats>,
 }
 
 impl VersionState {
@@ -118,6 +107,7 @@ impl VersionState {
             stats: StatsState::new(),
             epoch: 0,
             memo: HashMap::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -139,6 +129,12 @@ impl VersionState {
     /// The trace order-statistics fold.
     pub fn stats(&self) -> &StatsState {
         &self.stats
+    }
+
+    /// The trace index of the fold ([`StatsState::finalize`]), built once
+    /// per epoch and shared by every pipeline queried at that epoch.
+    pub fn index(&self) -> &TraceStats {
+        self.index.get_or_init(|| self.stats.finalize())
     }
 
     /// The invalidation epoch: bumped on every non-duplicate absorption.
@@ -163,16 +159,17 @@ impl VersionState {
         if self.stats.contains(shard.seq) {
             return Ok(false);
         }
-        let ad = AffinityDelta::measure(
+        let index = TraceStats::of(&shard.trace);
+        let ad = AffinityDelta::measure_indexed(
             shard.seq,
-            &shard.trace,
+            &index,
             self.params.affinity.w_max,
             shard.core_start,
             shard.core_end,
         );
-        let td = TrgDelta::measure(
+        let td = TrgDelta::measure_indexed(
             shard.seq,
-            &shard.trace,
+            &index,
             self.params.trg.window,
             shard.core_start,
             shard.core_end,
@@ -182,6 +179,7 @@ impl VersionState {
         self.stats.absorb(shard.seq, shard.core());
         self.epoch += 1;
         self.memo.clear();
+        self.index = OnceLock::new();
         Ok(true)
     }
 
@@ -274,6 +272,7 @@ impl VersionState {
             stats,
             epoch,
             memo: HashMap::new(),
+            index: OnceLock::new(),
         })
     }
 }
@@ -284,80 +283,96 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The process-wide registry of incremental states, keyed by
-/// `(program version, analysis parameters)`.
-#[derive(Default)]
+/// The process-wide registry of incremental states: one per program
+/// version, every one folding at the store's parameters.
 pub struct IncrementalStore {
-    versions: Mutex<VersionTable>,
+    params: AnalysisParams,
+    versions: Mutex<HashMap<String, Arc<Mutex<VersionState>>>>,
 }
 
 impl IncrementalStore {
-    /// An empty store.
-    pub fn new() -> IncrementalStore {
-        IncrementalStore::default()
+    /// An empty store whose states fold at `params`.
+    pub fn new(params: AnalysisParams) -> IncrementalStore {
+        IncrementalStore {
+            params,
+            versions: Mutex::default(),
+        }
     }
 
-    /// The state for `(version, params)`, created empty on first use.
-    pub fn state(&self, version: &str, params: AnalysisParams) -> Arc<Mutex<VersionState>> {
+    /// The state for `version`, created empty on first use.
+    pub fn state(&self, version: &str) -> Arc<Mutex<VersionState>> {
         Arc::clone(
             lock(&self.versions)
-                .entry((version.to_string(), params.key()))
-                .or_insert_with(|| Arc::new(Mutex::new(VersionState::new(params)))),
+                .entry(version.to_string())
+                .or_insert_with(|| Arc::new(Mutex::new(VersionState::new(self.params)))),
         )
     }
 
-    /// The state for `(version, params)` if one is registered; unlike
+    /// The state for `version` if one is registered; unlike
     /// [`IncrementalStore::state`], a miss registers nothing.
-    pub fn get(&self, version: &str, params: AnalysisParams) -> Option<Arc<Mutex<VersionState>>> {
-        lock(&self.versions)
-            .get(&(version.to_string(), params.key()))
-            .map(Arc::clone)
+    pub fn get(&self, version: &str) -> Option<Arc<Mutex<VersionState>>> {
+        lock(&self.versions).get(version).map(Arc::clone)
     }
 
     /// Register a state restored from a checkpoint under `version`,
-    /// replacing any state already registered at its parameters.
-    pub fn restore(&self, version: &str, state: VersionState) -> Arc<Mutex<VersionState>> {
-        let key = (version.to_string(), state.params().key());
+    /// replacing any state already registered. A state folded at other
+    /// windows (affinity `w_max`, TRG `window`) than the store's is
+    /// refused and registers nothing; one that differs only in the
+    /// query-time `w_min` or `slots` is registered at the store's
+    /// parameters.
+    pub fn restore(
+        &self,
+        version: &str,
+        mut state: VersionState,
+    ) -> ClopResult<Arc<Mutex<VersionState>>> {
+        if state.affinity.w_max() != self.params.affinity.w_max.max(2)
+            || state.trg.window() != self.params.trg.window
+        {
+            return Err(ClopError::trace_format(format!(
+                "state of {} was folded at affinity w_max {} and TRG window {}, \
+                 not at this store's {} and {}",
+                version,
+                state.affinity.w_max(),
+                state.trg.window(),
+                self.params.affinity.w_max.max(2),
+                self.params.trg.window
+            )));
+        }
+        state.params = self.params;
+        state.memo.clear();
         let arc = Arc::new(Mutex::new(state));
-        lock(&self.versions).insert(key, Arc::clone(&arc));
-        arc
+        lock(&self.versions).insert(version.to_string(), Arc::clone(&arc));
+        Ok(arc)
     }
 
-    /// All registered states with their version names, sorted by key for
+    /// All registered states with their version names, sorted by name for
     /// deterministic iteration (checkpoint-all, shutdown flush).
     pub fn states(&self) -> Vec<(String, Arc<Mutex<VersionState>>)> {
         let map = lock(&self.versions);
-        let mut entries: Vec<_> = map.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        entries
-            .into_iter()
-            .map(|((v, _), s)| (v.clone(), Arc::clone(s)))
-            .collect()
-    }
-
-    /// Drop every state registered under `version` (any parameters) —
-    /// the GC eviction path. Returns the number of states removed.
-    /// Queries for the version afterwards see a fresh empty fold;
-    /// re-streaming the version's shards rebuilds it.
-    pub fn remove_version(&self, version: &str) -> usize {
-        let mut map = lock(&self.versions);
-        let before = map.len();
-        map.retain(|(v, _), _| v != version);
-        before - map.len()
-    }
-
-    /// Distinct version names with registered state, sorted.
-    pub fn versions(&self) -> Vec<String> {
-        let mut names: Vec<String> = lock(&self.versions)
-            .keys()
-            .map(|(v, _)| v.clone())
+        let mut entries: Vec<(String, Arc<Mutex<VersionState>>)> = map
+            .iter()
+            .map(|(v, s)| (v.clone(), Arc::clone(s)))
             .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    /// Drop the state registered under `version` — the GC eviction path.
+    /// Returns whether one was registered. Queries for the version
+    /// afterwards see a fresh empty fold; re-streaming the version's
+    /// shards rebuilds it.
+    pub fn remove_version(&self, version: &str) -> bool {
+        lock(&self.versions).remove(version).is_some()
+    }
+
+    /// Version names with registered state, sorted.
+    pub fn versions(&self) -> Vec<String> {
+        let mut names: Vec<String> = lock(&self.versions).keys().cloned().collect();
         names.sort_unstable();
-        names.dedup();
         names
     }
 
-    /// Number of registered `(version, params)` states.
+    /// Number of registered states.
     pub fn len(&self) -> usize {
         lock(&self.versions).len()
     }
@@ -513,65 +528,93 @@ mod tests {
     }
 
     #[test]
-    fn store_keys_by_version_and_params() {
-        let store = IncrementalStore::new();
-        let a = store.state("v1", params());
-        let b = store.state("v1", params());
+    fn store_keys_by_version() {
+        let store = IncrementalStore::new(params());
+        let a = store.state("v1");
+        let b = store.state("v1");
         assert!(Arc::ptr_eq(&a, &b));
-        let other = AnalysisParams {
-            trg: TrgConfig {
-                window: 32,
-                slots: 4,
-            },
-            ..params()
-        };
-        let c = store.state("v1", other);
-        assert!(!Arc::ptr_eq(&a, &c));
-        let d = store.state("v2", params());
+        assert_eq!(a.lock().unwrap().params(), &params());
+        let d = store.state("v2");
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(store.versions(), vec!["v1".to_string(), "v2".to_string()]);
-        assert_eq!(store.len(), 3);
-        assert!(Arc::ptr_eq(&a, &store.get("v1", params()).unwrap()));
-        assert!(store.get("v3", params()).is_none());
-        assert_eq!(store.len(), 3, "a lookup miss registers nothing");
+        assert_eq!(store.len(), 2);
+        assert!(Arc::ptr_eq(&a, &store.get("v1").unwrap()));
+        assert!(store.get("v3").is_none());
+        assert_eq!(store.len(), 2, "a lookup miss registers nothing");
     }
 
     #[test]
-    fn remove_version_drops_every_parameterization() {
-        let store = IncrementalStore::new();
-        store.state("v1", params());
-        let other = AnalysisParams {
-            trg: TrgConfig {
-                window: 32,
-                slots: 4,
-            },
-            ..params()
-        };
-        store.state("v1", other);
-        store.state("v2", params());
-        assert_eq!(store.remove_version("v1"), 2);
+    fn restore_refuses_a_state_folded_at_other_windows() {
+        let store = IncrementalStore::new(params());
+        let mut other_window = params();
+        other_window.trg.window = 32;
+        let mut other_w_max = params();
+        other_w_max.affinity.w_max = 20;
+        for other in [other_window, other_w_max] {
+            assert!(store.restore("v1", VersionState::new(other)).is_err());
+            assert!(store.is_empty(), "a refused state registers nothing");
+        }
+        // `w_min` and `slots` are read at query time: the fold is kept and
+        // adopts the store's parameters.
+        let t = random_trace(14, 240, 11);
+        let mut query_time = params();
+        query_time.affinity.w_min = 3;
+        query_time.trg.slots = 7;
+        let mut state = VersionState::new(query_time);
+        for sf in &shard_files(&t, 3, &query_time) {
+            state.absorb_shard(sf).unwrap();
+        }
+        let folds = (
+            state.affinity_state().to_bytes(),
+            state.trg_state().to_bytes(),
+        );
+        let arc = store.restore("v1", state).unwrap();
+        let mut got = arc.lock().unwrap();
+        assert_eq!(got.params(), &params());
+        assert_eq!(
+            (got.affinity_state().to_bytes(), got.trg_state().to_bytes()),
+            folds
+        );
+        let mut fresh = VersionState::new(params());
+        for sf in &shard_files(&t, 3, &params()) {
+            fresh.absorb_shard(sf).unwrap();
+        }
+        for pipeline in ["bb-affinity", "bb-trg"] {
+            assert_eq!(
+                got.layout_query(pipeline).unwrap().order,
+                fresh.layout_query(pipeline).unwrap().order
+            );
+        }
+    }
+
+    #[test]
+    fn remove_version_drops_its_state() {
+        let store = IncrementalStore::new(params());
+        store.state("v1");
+        store.state("v2");
+        assert!(store.remove_version("v1"));
         assert_eq!(store.versions(), vec!["v2".to_string()]);
-        assert_eq!(store.remove_version("v1"), 0, "idempotent");
+        assert!(!store.remove_version("v1"), "idempotent");
         // A later query starts a fresh empty fold, not a stale one.
-        let arc = store.state("v1", params());
+        let arc = store.state("v1");
         assert_eq!(arc.lock().unwrap().shards_absorbed(), 0);
     }
 
     #[test]
     fn restore_replaces_registered_state() {
         let p = params();
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(p);
         let t = random_trace(13, 300, 8);
         {
-            let arc = store.state("v1", p);
+            let arc = store.state("v1");
             let mut st = arc.lock().unwrap();
             for sf in &shard_files(&t, 2, &p) {
                 st.absorb_shard(sf).unwrap();
             }
         }
         let fresh = VersionState::new(p);
-        let arc = store.restore("v1", fresh);
+        let arc = store.restore("v1", fresh).unwrap();
         assert_eq!(arc.lock().unwrap().shards_absorbed(), 0);
-        assert!(Arc::ptr_eq(&arc, &store.state("v1", p)));
+        assert!(Arc::ptr_eq(&arc, &store.state("v1")));
     }
 }

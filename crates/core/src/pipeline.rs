@@ -75,8 +75,7 @@ impl LocalityModel for WWindowAffinity {
             return None;
         }
         let thresholds = state.affinity_state().finalize();
-        let stats = state.stats().finalize();
-        Some(AffinityHierarchy::build_from_stats(&stats, &thresholds, self.config).layout())
+        Some(AffinityHierarchy::build_from_stats(state.index(), &thresholds, self.config).layout())
     }
 }
 
@@ -106,8 +105,7 @@ impl LocalityModel for TrgModel {
             return None;
         }
         let trg = state.trg_state().finalize();
-        let stats = state.stats().finalize();
-        Some(clop_trg::reduce_from_stats(&trg, self.config.slots, &stats).sequence)
+        Some(clop_trg::reduce_from_stats(&trg, self.config.slots, state.index()).sequence)
     }
 }
 

@@ -134,7 +134,7 @@ mod tests {
         };
         let p = Profile::collect(&two_function_loop(), &cfg);
         assert!(p.prune_retention > 0.0 && p.prune_retention <= 1.0);
-        assert!(p.bb_trace.num_distinct() <= 3);
+        assert!(clop_trace::TraceStats::of(&p.bb_trace).num_distinct() <= 3);
     }
 
     #[test]

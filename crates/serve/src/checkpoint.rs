@@ -26,11 +26,13 @@
 //!
 //! Resume never trusts a state file without a marker for its version. A
 //! marked state that fails to decode — a torn write under a non-atomic
-//! filesystem, bit rot, an operator's stray edit — is **quarantined**
-//! (renamed to `<file>.quarantined`) rather than trusted or deleted, and
-//! resume falls back to the newest remaining verifiable generation;
-//! convergence from an older generation is restored by re-streaming,
-//! because absorption is idempotent per shard sequence number.
+//! filesystem, bit rot, an operator's stray edit, a snapshot format this
+//! build no longer reads — or that was folded at other windows (affinity
+//! `w_max`, TRG `window`) than this daemon's, is **quarantined** (renamed to
+//! `<file>.quarantined`) rather than trusted or deleted, and resume falls
+//! back to the newest remaining verifiable generation; convergence from an
+//! older generation is restored by re-streaming, because absorption is
+//! idempotent per shard sequence number.
 
 use crate::config::valid_version;
 use clop_core::incremental::{IncrementalStore, VersionState};
@@ -109,7 +111,8 @@ fn quarantine_name(path: &Path) -> PathBuf {
 pub struct ResumeReport {
     /// Versions restored into the store, sorted.
     pub restored: Vec<String>,
-    /// Checkpoint files quarantined because they failed to decode.
+    /// Checkpoint files quarantined because they failed to decode or
+    /// were folded at other windows than the store's.
     pub quarantined: Vec<PathBuf>,
     /// Versions that resumed from the `.prev` generation because the
     /// newest state was missing or quarantined.
@@ -120,7 +123,8 @@ pub struct ResumeReport {
 
 /// Load every marked checkpoint under `dir` into `store`, newest
 /// verifiable generation first. A missing directory restores nothing. A
-/// marked state that fails to read or decode is quarantined and the
+/// marked state that fails to read or decode, or that the store refuses
+/// because it was folded at other windows, is quarantined and the
 /// `.prev` generation is tried; when every generation fails the version
 /// is reported as lost instead of aborting the daemon — re-streaming
 /// rebuilds it from scratch.
@@ -150,9 +154,9 @@ pub fn resume_all(dir: &Path, store: &IncrementalStore) -> ClopResult<ResumeRepo
             (0usize, state_path(dir, &version)),
             (1usize, prev_path(dir, &version)),
         ] {
-            match load_state(&path) {
-                Ok(Some(state)) => {
-                    store.restore(&version, state);
+            let restore = |st: VersionState| store.restore(&version, st);
+            match load_state(&path).and_then(|st| st.map(restore).transpose()) {
+                Ok(Some(_)) => {
                     if generation > 0 {
                         report.fell_back.push(version.clone());
                     }
@@ -162,8 +166,9 @@ pub fn resume_all(dir: &Path, store: &IncrementalStore) -> ClopResult<ResumeRepo
                 }
                 Ok(None) => {} // generation absent; try the next
                 Err(_) => {
-                    // Torn or corrupt: set it aside for post-mortem, never
-                    // trust it, never delete evidence.
+                    // Torn, corrupt or folded at other windows: set it
+                    // aside for post-mortem, never trust it, never delete
+                    // evidence.
                     let _ = fs::rename(&path, quarantine_name(&path));
                     report.quarantined.push(path);
                 }
@@ -229,18 +234,18 @@ mod tests {
         let bytes = state.to_bytes();
         checkpoint_bytes(&dir, "v1", &state.to_bytes()).unwrap();
 
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(AnalysisParams::default());
         let report = resume_all(&dir, &store).unwrap();
         assert_eq!(report.restored, vec!["v1".to_string()]);
         assert!(report.quarantined.is_empty() && report.fell_back.is_empty());
-        let arc = store.state("v1", *state.params());
+        let arc = store.state("v1");
         assert_eq!(arc.lock().unwrap().to_bytes(), bytes);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_directory_resumes_nothing() {
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(AnalysisParams::default());
         let report = resume_all(Path::new("/nonexistent/clop-ckpt"), &store).unwrap();
         assert!(report.restored.is_empty());
         assert!(store.is_empty());
@@ -251,7 +256,7 @@ mod tests {
         let dir = tmp_dir("unmarked");
         fs::create_dir_all(&dir).unwrap();
         fs::write(state_path(&dir, "v1"), folded_state(2).to_bytes()).unwrap();
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(AnalysisParams::default());
         assert!(resume_all(&dir, &store).unwrap().restored.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -281,7 +286,7 @@ mod tests {
         for c in seeded_corruptions(41, &clean, 25) {
             fs::write(state_path(&dir, "v1"), &c.data).unwrap();
             let _ = fs::remove_file(quarantine_name(&state_path(&dir, "v1")));
-            let store = IncrementalStore::new();
+            let store = IncrementalStore::new(AnalysisParams::default());
             let report = resume_all(&dir, &store).unwrap();
             if report.quarantined.is_empty() {
                 // A corruption the decoder tolerates (e.g. a flip inside
@@ -295,12 +300,61 @@ mod tests {
                     "corruption {} must fall back",
                     c.description
                 );
-                let arc = store.state("v1", *old.params());
+                let arc = store.state("v1");
                 assert_eq!(arc.lock().unwrap().to_bytes(), old.to_bytes());
                 assert!(quarantine_name(&state_path(&dir, "v1")).exists());
                 // Restore the rotated generation for the next iteration.
             }
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn state_folded_at_other_parameters_is_quarantined() {
+        let dir = tmp_dir("other-params");
+        let mut p = AnalysisParams::default();
+        p.affinity.w_max = 8;
+        let ours = folded_state(11);
+        checkpoint_bytes(&dir, "v1", &ours.to_bytes()).unwrap();
+        checkpoint_bytes(&dir, "v1", &VersionState::new(p).to_bytes()).unwrap();
+        // The newest generation is foreign: set aside, `.prev` resumes.
+        let store = IncrementalStore::new(AnalysisParams::default());
+        let report = resume_all(&dir, &store).unwrap();
+        assert_eq!(report.quarantined, vec![state_path(&dir, "v1")]);
+        assert_eq!(report.fell_back, vec!["v1".to_string()]);
+        assert_eq!(
+            store.state("v1").lock().unwrap().to_bytes(),
+            ours.to_bytes()
+        );
+        // A store at the other parameters finds no generation it can use.
+        let store = IncrementalStore::new(p);
+        let report = resume_all(&dir, &store).unwrap();
+        assert_eq!(report.quarantined, vec![prev_path(&dir, "v1")]);
+        assert_eq!(report.lost, vec!["v1".to_string()]);
+        assert!(store.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn state_differing_only_in_query_time_parameters_resumes() {
+        let dir = tmp_dir("query-time-params");
+        let ours = folded_state(13);
+        checkpoint_bytes(&dir, "v1", &ours.to_bytes()).unwrap();
+        let mut p = *ours.params();
+        p.affinity.w_min += 1;
+        p.trg.slots += 3;
+        let store = IncrementalStore::new(p);
+        let report = resume_all(&dir, &store).unwrap();
+        assert_eq!(report.restored, vec!["v1".to_string()]);
+        assert!(report.quarantined.is_empty() && report.fell_back.is_empty());
+        let arc = store.state("v1");
+        let got = arc.lock().unwrap();
+        assert_eq!(got.params(), &p);
+        assert_eq!(got.shards_absorbed(), ours.shards_absorbed());
+        assert_eq!(got.stats(), ours.stats());
+        assert_eq!(got.trg_state(), ours.trg_state());
+        assert_eq!(got.affinity_state(), ours.affinity_state());
+        drop(got);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -314,7 +368,7 @@ mod tests {
             fs::create_dir_all(&dir).unwrap();
             fs::write(state_path(&dir, "v1"), &clean[..cut]).unwrap();
             fs::write(marker_path(&dir, "v1"), b"done\n").unwrap();
-            let store = IncrementalStore::new();
+            let store = IncrementalStore::new(AnalysisParams::default());
             let report = resume_all(&dir, &store).unwrap();
             assert_eq!(report.lost, vec!["v1".to_string()], "cut at {}", cut);
             assert!(store.is_empty());
@@ -331,7 +385,7 @@ mod tests {
         let old = folded_state(6);
         checkpoint_bytes(&dir, "v1", &old.to_bytes()).unwrap();
         fs::rename(state_path(&dir, "v1"), prev_path(&dir, "v1")).unwrap();
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(AnalysisParams::default());
         let report = resume_all(&dir, &store).unwrap();
         assert_eq!(report.restored, vec!["v1".to_string()]);
         assert_eq!(report.fell_back, vec!["v1".to_string()]);
@@ -339,7 +393,7 @@ mod tests {
             report.quarantined.is_empty(),
             "nothing corrupt to set aside"
         );
-        let arc = store.state("v1", *old.params());
+        let arc = store.state("v1");
         assert_eq!(arc.lock().unwrap().to_bytes(), old.to_bytes());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -362,10 +416,10 @@ mod tests {
         }
         atomic_write(&state_path(&dir, "v1"), &newer.to_bytes()).unwrap();
         // (crash here — marker never rewritten)
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(AnalysisParams::default());
         let report = resume_all(&dir, &store).unwrap();
         assert_eq!(report.restored, vec!["v1".to_string()]);
-        let arc = store.state("v1", p);
+        let arc = store.state("v1");
         assert_eq!(arc.lock().unwrap().to_bytes(), newer.to_bytes());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -82,7 +82,10 @@ pub struct ServeConfig {
     /// watch-dir file is retried before it is quarantined (default 5).
     pub watch_max_attempts: u32,
     /// `CLOP_SERVE_W_MIN` / `W_MAX` / `TRG_WINDOW` / `TRG_SLOTS` — the
-    /// analysis parameters every version folds at.
+    /// analysis parameters every version folds at. A checkpoint folded at
+    /// another `W_MAX` or `TRG_WINDOW` is quarantined on resume, not
+    /// restored; one that differs only in the query-time `W_MIN` or
+    /// `TRG_SLOTS` resumes at these.
     pub params: AnalysisParams,
     /// `CLOP_SERVE_FOLD_DELAY_MS` — artificial delay per fold (default 0):
     /// the smoke scripts' lever to make backpressure observable on a

@@ -140,7 +140,7 @@ pub struct Server {
 impl Server {
     /// Resume checkpoints, bind the listener, start every thread.
     pub fn start(config: ServeConfig) -> ClopResult<Server> {
-        let store = IncrementalStore::new();
+        let store = IncrementalStore::new(config.params);
         let mut resume = checkpoint::ResumeReport::default();
         if let Some(dir) = &config.checkpoint_dir {
             resume = checkpoint::resume_all(dir, &store)?;
@@ -514,7 +514,7 @@ fn cmd_query(
         return out.write_all(format!("-RETRY {}\n", shared.config.retry_ms).as_bytes());
     }
     // A version nobody streamed answers as an empty fold, registering none.
-    let result = match shared.store.get(version, shared.config.params) {
+    let result = match shared.store.get(version) {
         Some(arc) => lock(&arc).layout_query(pipeline),
         None => VersionState::new(shared.config.params).layout_query(pipeline),
     };
@@ -537,7 +537,7 @@ fn cmd_epoch(shared: &Arc<Shared>, out: &mut TcpStream, version: &str) -> std::i
     if !valid_version(version) {
         return out.write_all(b"-ERR bad version token\n");
     }
-    let (epoch, shards) = match shared.store.get(version, shared.config.params) {
+    let (epoch, shards) = match shared.store.get(version) {
         Some(arc) => {
             let st = lock(&arc);
             (st.epoch(), st.shards_absorbed())
@@ -650,7 +650,7 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
 /// and run a GC pass. Only then are the jobs settled and durable ones
 /// answered: `SYNC` and a durable `+OK` both promise what is on disk.
 fn fold_group(shared: &Arc<Shared>, version: &str, jobs: Vec<Job>) {
-    let arc = shared.store.state(version, shared.config.params);
+    let arc = shared.store.state(version);
     touch_ingest(shared, version);
     let (outcomes, saved) = {
         let mut st = lock(&arc);
@@ -766,10 +766,9 @@ fn run_gc(shared: &Arc<Shared>, active: &str) {
             return; // only the active version remains; never evict it
         };
         // The victim's files go under its lock, never mid-checkpoint.
-        let states = shared.store.states();
-        let held = states.iter().find(|(v, _)| *v == victim);
-        let _guard = held.map(|(_, arc)| lock(arc));
-        if shared.store.remove_version(&victim) == 0 {
+        let held = shared.store.get(&victim);
+        let _guard = held.as_deref().map(lock);
+        if !shared.store.remove_version(&victim) {
             continue; // a concurrent pass evicted it first
         }
         let mut freed = lock(&shared.state_sizes).remove(&victim).unwrap_or(0);
@@ -1118,7 +1117,7 @@ mod tests {
         let server = Server::start(config).unwrap();
         let t = random_trace(22, 900, 11);
         let files = split_shards_columnar(&t, 6, params.affinity.w_max, params.trg.window);
-        let gate = server.shared.store.state("v", params);
+        let gate = server.shared.store.state("v");
         let held = lock(&gate);
         let mut c = Client::connect(server.addr());
         assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
@@ -1156,7 +1155,7 @@ mod tests {
         let server = Server::start(config).unwrap();
         let t = random_trace(37, 600, 10);
         let files = split_shards_columnar(&t, 3, params.affinity.w_max, params.trg.window);
-        let gate = server.shared.store.state("dq", params);
+        let gate = server.shared.store.state("dq");
         let held = lock(&gate);
         let addr = server.addr();
         let spawn_send = |f: &Vec<u8>| {
@@ -1341,7 +1340,7 @@ mod tests {
         assert_eq!(c.command("HEALTH"), "+HEALTH ok 0 8");
         // The test holds the version's lock: the worker blocks on the
         // first shard and the other six stay queued.
-        let gate = server.shared.store.state("v", params);
+        let gate = server.shared.store.state("v");
         let held = lock(&gate);
         assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
         wait_for(&server, "the worker to take shard 0", |s| {
@@ -1591,7 +1590,7 @@ mod tests {
         let mut c = Client::connect(server.addr());
         // The test holds the version's lock, so the fold cannot settle
         // within SYNC's 50ms budget.
-        let gate = server.shared.store.state("v", params);
+        let gate = server.shared.store.state("v");
         let held = lock(&gate);
         assert!(c.send_shard("v", &files[0]).starts_with("+OK"));
         assert_eq!(c.command("SYNC"), "-ERR sync timed out");
@@ -1617,6 +1616,61 @@ mod tests {
         assert!(server.stats().malformed_lines.load(Ordering::Relaxed) >= 3);
         assert_eq!(c.command("STOP"), "+BYE");
         server.join();
+    }
+
+    /// A daemon restarted at other analysis parameters keeps one state per
+    /// version: the checkpoint folded at the old parameters is set aside
+    /// rather than restored beside the new fold, so it can neither answer
+    /// for the version nor overwrite the new fold's checkpoint at `STOP`.
+    #[test]
+    fn restart_at_other_parameters_keeps_one_state_per_version() {
+        let ckpt = std::env::temp_dir().join(format!("clop-serve-params-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&ckpt);
+        let config = |params: AnalysisParams| ServeConfig {
+            params,
+            durable_ack: true,
+            checkpoint_dir: Some(ckpt.clone()),
+            ..ServeConfig::default()
+        };
+        let wide = AnalysisParams::default();
+        let mut narrow = wide;
+        narrow.affinity.w_max = 8;
+        let t = random_trace(38, 800, 12);
+
+        // A daemon at the default w_max 20 checkpoints version v.
+        let server = Server::start(config(wide)).unwrap();
+        let files = split_shards_columnar(&t, 4, wide.affinity.w_max, wide.trg.window);
+        let mut c = Client::connect(server.addr());
+        for f in &files[..2] {
+            assert!(c.send_shard_retrying("v", f).starts_with("+OK"));
+        }
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+
+        // A daemon at w_max 8 restarts on that directory and durably acks
+        // every shard of v.
+        let server = Server::start(config(narrow)).unwrap();
+        assert_eq!(load(&server.stats().resume_quarantined), 2);
+        let files = split_shards_columnar(&t, 4, narrow.affinity.w_max, narrow.trg.window);
+        let mut c = Client::connect(server.addr());
+        for f in &files {
+            assert!(c.send_shard_retrying("v", f).starts_with("+OK"));
+        }
+        assert_eq!(c.command("EPOCH v"), "+EPOCH 4 4");
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+
+        // The next daemon at w_max 8 resumes that fold.
+        let server = Server::start(config(narrow)).unwrap();
+        let mut c = Client::connect(server.addr());
+        assert_eq!(c.command("EPOCH v"), "+EPOCH 4 4");
+        assert_eq!(
+            c.query("v", "function-affinity"),
+            batch_order(&t, "function-affinity", &narrow)
+        );
+        assert_eq!(c.command("STOP"), "+BYE");
+        server.join();
+        fs::remove_dir_all(&ckpt).unwrap();
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `clop-cachesim`. The single-window `fp<a,b>` of the definition is a test
 //! oracle (`clop_oracle::footprint_between`).
 
+use crate::stats::TraceStats;
 use crate::trace::TrimmedTrace;
 use clop_util::pool::{default_jobs, parallel_map};
 
@@ -31,27 +32,26 @@ pub struct FootprintCurve {
     total_distinct: usize,
 }
 
-/// The exact average footprint of all length-`w` windows of `trace`
-/// (`1 <= w <= trace.len()`): one sliding-window pass with dense per-block
-/// occurrence counts — the distinct count changes only when a block enters
-/// from 0 or leaves to 0. O(N) per call, no allocation beyond the counts.
-fn average_window_footprint(trace: &TrimmedTrace, w: usize) -> f64 {
-    let ev = trace.events();
-    let n = ev.len();
+/// The exact average footprint of all length-`w` windows of a trace given
+/// as heat ranks over `nd` distinct blocks (`1 <= w <= events.len()`): one
+/// sliding-window pass with per-block occurrence counts — the distinct
+/// count changes only when a block enters from 0 or leaves to 0. O(N) per
+/// call, no allocation beyond the counts.
+fn average_window_footprint(events: &[u32], nd: usize, w: usize) -> f64 {
+    let n = events.len();
     debug_assert!(w >= 1 && w <= n);
-    let cap = ev.iter().map(|b| b.index() + 1).max().unwrap_or(0);
-    let mut counts = vec![0u32; cap];
+    let mut counts = vec![0u32; nd];
     let mut distinct = 0usize;
     let mut sum = 0u64;
-    for (i, &e) in ev.iter().enumerate() {
-        let c = &mut counts[e.index()];
+    for (i, &e) in events.iter().enumerate() {
+        let c = &mut counts[e as usize];
         if *c == 0 {
             distinct += 1;
         }
         *c += 1;
         if i + 1 >= w {
             sum += distinct as u64;
-            let c = &mut counts[ev[i + 1 - w].index()];
+            let c = &mut counts[events[i + 1 - w] as usize];
             *c -= 1;
             if *c == 0 {
                 distinct -= 1;
@@ -74,6 +74,47 @@ fn auto_jobs(events: usize, passes: usize) -> usize {
     }
 }
 
+/// The geometric window ladder 1, 2, 4, ..., `max_window` (always
+/// including `max_window`; empty when it is 0).
+fn ladder(max_window: usize) -> Vec<usize> {
+    let mut ladder = Vec::new();
+    let mut w = 1usize;
+    while w < max_window {
+        ladder.push(w);
+        w = (w * 2).max(w + 1);
+    }
+    if max_window > 0 {
+        ladder.push(max_window);
+    }
+    ladder
+}
+
+/// `values[0..=max_window]` through the points `pts` (ascending, distinct
+/// windows >= 1): linear between neighbours, from `(0, 0)` up to the first
+/// point, holding the last point after it.
+fn interpolate(pts: &[(usize, f64)], max_window: usize) -> Vec<f64> {
+    let mut values = vec![0.0; max_window + 1];
+    let mut prev = (0usize, 0.0f64);
+    let mut pi = 0usize;
+    for (w, v) in values.iter_mut().enumerate().skip(1) {
+        while pi < pts.len() && pts[pi].0 < w {
+            prev = pts[pi];
+            pi += 1;
+        }
+        if pi < pts.len() && pts[pi].0 == w {
+            *v = pts[pi].1;
+        } else if pi < pts.len() {
+            let (x0, y0) = prev;
+            let (x1, y1) = pts[pi];
+            let t = (w - x0) as f64 / (x1 - x0) as f64;
+            *v = y0 + t * (y1 - y0);
+        } else {
+            *v = prev.1;
+        }
+    }
+    values
+}
+
 impl FootprintCurve {
     /// Compute the exact average footprint for every window length
     /// `1..=max_window` by a single sliding-window pass per length, with
@@ -89,28 +130,8 @@ impl FootprintCurve {
     /// result is bit-identical for any `jobs` value (per-length passes are
     /// independent and merged in input order).
     pub fn measure_jobs(trace: &TrimmedTrace, max_window: usize, jobs: usize) -> Self {
-        let n = trace.len();
-        let total_distinct = trace.num_distinct();
-        let mut values = vec![0.0; max_window + 1];
-        if n == 0 {
-            return FootprintCurve {
-                values,
-                total_distinct,
-            };
-        }
-        let ws: Vec<usize> = (1..=max_window).collect();
-        let measured = parallel_map(jobs, ws, |_, w| {
-            if w > n {
-                total_distinct as f64
-            } else {
-                average_window_footprint(trace, w)
-            }
-        });
-        values[1..=max_window].copy_from_slice(&measured);
-        FootprintCurve {
-            values,
-            total_distinct,
-        }
+        let windows = (1..=max_window).collect();
+        Self::through(&TraceStats::of(trace), windows, max_window, jobs)
     }
 
     /// Approximate the curve by measuring only a geometric ladder of window
@@ -118,60 +139,45 @@ impl FootprintCurve {
     /// passes sharded over the worker pool. This is the practical variant
     /// used on multi-million-event traces.
     pub fn measure_sampled(trace: &TrimmedTrace, max_window: usize) -> Self {
-        // The ladder has ~log2(max_window) + 1 rungs.
-        let rungs = usize::BITS as usize - max_window.leading_zeros() as usize + 1;
-        Self::measure_sampled_jobs(trace, max_window, auto_jobs(trace.len(), rungs))
+        Self::measure_sampled_indexed(&TraceStats::of(trace), max_window)
+    }
+
+    /// [`FootprintCurve::measure_sampled`] over the index of the trace
+    /// (built by [`TraceStats::of`]), for a caller that reads the index
+    /// for another measurement too.
+    pub fn measure_sampled_indexed(stats: &TraceStats, max_window: usize) -> Self {
+        let ladder = ladder(max_window);
+        let jobs = auto_jobs(stats.ranked_events().len(), ladder.len());
+        Self::through(stats, ladder, max_window, jobs)
     }
 
     /// [`FootprintCurve::measure_sampled`] with an explicit worker count.
     /// The result is bit-identical for any `jobs` value.
     pub fn measure_sampled_jobs(trace: &TrimmedTrace, max_window: usize, jobs: usize) -> Self {
-        let n = trace.len();
-        let total_distinct = trace.num_distinct();
-        let mut values = vec![0.0; max_window + 1];
-        if n == 0 || max_window == 0 {
+        Self::through(&TraceStats::of(trace), ladder(max_window), max_window, jobs)
+    }
+
+    /// The curve through the exact average footprints at `windows`
+    /// (ascending, ending at `max_window`), one pass each over the ranked
+    /// events, interpolated in between.
+    fn through(stats: &TraceStats, windows: Vec<usize>, max_window: usize, jobs: usize) -> Self {
+        let events = stats.ranked_events();
+        let total_distinct = stats.num_distinct();
+        if events.is_empty() {
             return FootprintCurve {
-                values,
+                values: vec![0.0; max_window + 1],
                 total_distinct,
             };
         }
-        // Ladder: 1, 2, 4, ..., max_window (always including max_window).
-        let mut ladder = Vec::new();
-        let mut w = 1usize;
-        while w < max_window {
-            ladder.push(w);
-            w = (w * 2).max(w + 1);
-        }
-        ladder.push(max_window);
-
-        let pts: Vec<(usize, f64)> = parallel_map(jobs, ladder, |_, w| {
-            if w > n {
+        let pts = parallel_map(jobs, windows, |_, w| {
+            if w > events.len() {
                 (w, total_distinct as f64)
             } else {
-                (w, average_window_footprint(trace, w))
+                (w, average_window_footprint(events, total_distinct, w))
             }
         });
-        // Interpolate.
-        let mut prev = (0usize, 0.0f64);
-        let mut pi = 0usize;
-        for (w, v) in values.iter_mut().enumerate().take(max_window + 1).skip(1) {
-            while pi < pts.len() && pts[pi].0 < w {
-                prev = pts[pi];
-                pi += 1;
-            }
-            if pi < pts.len() && pts[pi].0 == w {
-                *v = pts[pi].1;
-            } else if pi < pts.len() {
-                let (x0, y0) = prev;
-                let (x1, y1) = pts[pi];
-                let t = (w - x0) as f64 / (x1 - x0) as f64;
-                *v = y0 + t * (y1 - y0);
-            } else {
-                *v = total_distinct as f64;
-            }
-        }
         FootprintCurve {
-            values,
+            values: interpolate(&pts, max_window),
             total_distinct,
         }
     }
@@ -193,7 +199,6 @@ impl FootprintCurve {
         max_window: usize,
         total_distinct: usize,
     ) -> Self {
-        let mut values = vec![0.0; max_window + 1];
         let asymptote = total_distinct as f64;
         let mut pts: Vec<(usize, f64)> = anchors
             .iter()
@@ -207,32 +212,9 @@ impl FootprintCurve {
             running = running.max(p.1);
             p.1 = running;
         }
+        let mut values = interpolate(&pts, max_window);
         if pts.is_empty() {
-            for v in values.iter_mut().skip(1) {
-                *v = asymptote;
-            }
-            return FootprintCurve {
-                values,
-                total_distinct,
-            };
-        }
-        let mut prev = (0usize, 0.0f64);
-        let mut pi = 0usize;
-        for (w, v) in values.iter_mut().enumerate().take(max_window + 1).skip(1) {
-            while pi < pts.len() && pts[pi].0 < w {
-                prev = pts[pi];
-                pi += 1;
-            }
-            if pi < pts.len() && pts[pi].0 == w {
-                *v = pts[pi].1;
-            } else if pi < pts.len() {
-                let (x0, y0) = prev;
-                let (x1, y1) = pts[pi];
-                let t = (w - x0) as f64 / (x1 - x0) as f64;
-                *v = y0 + t * (y1 - y0);
-            } else {
-                *v = pts[pts.len() - 1].1.max(prev.1);
-            }
+            values[1..].fill(asymptote);
         }
         FootprintCurve {
             values,

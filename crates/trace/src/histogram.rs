@@ -7,7 +7,8 @@
 //! peer's footprint into the same inequality.
 
 use crate::stack::LruStack;
-use crate::trace::TrimmedTrace;
+use crate::stats::TraceStats;
+use crate::trace::{BlockId, TrimmedTrace};
 
 /// Histogram of LRU stack distances over a trace, with cold (first) accesses
 /// counted separately as "infinite" distance.
@@ -24,16 +25,18 @@ pub struct ReuseHistogram {
 impl ReuseHistogram {
     /// Measure the histogram of a trimmed trace.
     pub fn measure(trace: &TrimmedTrace) -> Self {
-        let cap = trace
-            .events()
-            .iter()
-            .map(|b| b.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut stack = LruStack::new(cap);
+        Self::measure_indexed(&TraceStats::of(trace))
+    }
+
+    /// [`ReuseHistogram::measure`] over the index of the trace (built by
+    /// [`TraceStats::of`]). Reuse distances do not depend on block names,
+    /// so the stack runs over heat ranks, sized by the distinct-block
+    /// count.
+    pub fn measure_indexed(stats: &TraceStats) -> Self {
+        let mut stack = LruStack::new(stats.num_distinct());
         let mut h = ReuseHistogram::default();
-        for b in trace.iter() {
-            let d = stack.access(b);
+        for &r in stats.ranked_events() {
+            let d = stack.access(BlockId(r));
             h.record(d);
         }
         h

@@ -30,8 +30,11 @@
 //!   pay off on the current machine),
 //! * [`shardfile`] — the CLSH on-disk container carrying one standalone
 //!   shard segment for streaming ingestion,
-//! * [`stats`] — the order statistics (heat + first-appearance order) that
-//!   layout construction consumes, accumulable shard-by-shard.
+//! * [`stats`] — the one trace index ([`TraceStats`]): heat order,
+//!   occurrence counts, first-appearance order and the heat-ranked events
+//!   that pruning, both locality models and layout construction read, in
+//!   memory bounded by the trace rather than its largest block id; its
+//!   shard fold ([`StatsState`]) rebuilds it from streamed cores.
 //!
 //! Library paths are panic-free on hostile input: decoders return
 //! structured [`clop_util::ClopError`]s (enforced by

@@ -6,7 +6,11 @@
 //! only those occurrences in the trace" (§II-F), a hot-code selection in the
 //! spirit of Hashemi et al.'s popular-procedure selection. Pruning typically
 //! retains over 90% of the original occurrences.
+//!
+//! The hottest blocks are the lowest heat ranks of the trace index
+//! ([`TraceStats`]), so pruning is one filter over its ranked events.
 
+use crate::stats::TraceStats;
 use crate::trace::{BlockId, TrimmedTrace};
 
 /// Outcome of a pruning pass.
@@ -44,29 +48,25 @@ impl Pruner {
     /// Prune `trace`, keeping only occurrences of the hottest blocks, then
     /// re-trim (dropping a block can create new adjacent duplicates).
     ///
-    /// Ties in occurrence counts break toward the smaller block id so the
-    /// result is deterministic.
+    /// The kept blocks are the first `max_blocks` heat ranks of the trace
+    /// index: ties in occurrence counts break toward the smaller block id,
+    /// so the result is deterministic.
     pub fn prune(&self, trace: &TrimmedTrace) -> PruneReport {
-        let counts = trace.occurrence_counts();
-        let mut blocks: Vec<(u64, BlockId)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (c, BlockId(i as u32)))
-            .collect();
-        // Hottest first; ties toward smaller id.
-        blocks.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        blocks.truncate(self.max_blocks);
-        let kept: Vec<BlockId> = blocks.iter().map(|&(_, b)| b).collect();
-
-        let mut keep_mask = vec![false; counts.len()];
-        let mut kept_occurrences = 0u64;
-        for &(c, b) in &blocks {
-            keep_mask[b.index()] = true;
-            kept_occurrences += c;
-        }
-
-        let pruned = TrimmedTrace::from_events(trace.iter().filter(|b| keep_mask[b.index()]));
+        let stats = TraceStats::of(trace);
+        let keep = self.max_blocks.min(stats.num_distinct());
+        let ids = stats.heat_order();
+        let kept_occurrences: u64 = stats.heat_counts()[..keep].iter().sum();
+        let pruned = if keep == ids.len() {
+            trace.clone() // every block kept: the trace is already trimmed
+        } else {
+            TrimmedTrace::from_events(
+                stats
+                    .ranked_events()
+                    .iter()
+                    .filter(|&&r| (r as usize) < keep)
+                    .map(|&r| ids[r as usize]),
+            )
+        };
         let original_len = trace.len();
         let retention = if original_len == 0 {
             1.0
@@ -75,7 +75,7 @@ impl Pruner {
         };
         PruneReport {
             trace: pruned,
-            kept,
+            kept: ids[..keep].to_vec(),
             retention,
             original_len,
         }

@@ -1,12 +1,14 @@
-//! Order statistics of a trace, accumulable from shards.
+//! The one trace index, and its fold over shards.
 //!
-//! The layout-construction stages (`AffinityHierarchy::build`,
-//! `clop_trg::reduce`) do not need the trace itself — only two order
-//! statistics derived from it: per-block occurrence counts (heat) and the
-//! global first-appearance order (tie-breaking and leftover placement).
-//! [`TraceStats`] captures exactly that sufficient statistic, so the
-//! incremental path can serve layouts without ever materializing the full
-//! trace.
+//! Every analysis reads two statistics of a trimmed trace: block heat and
+//! first appearance (paper §II-B, §II-C, §II-F). [`TraceStats`] computes
+//! them once: the distinct blocks in heat order `(count desc, id asc)`
+//! with their counts and an id → rank map, the ranks in first-appearance
+//! order, and, when built from a trace, the events renumbered into
+//! heat-rank space, which is all the kernels read. Its memory is
+//! O(events + distinct blocks) whatever the id values, and its id map
+//! folds each id's high half into its low half before hashing, so ids
+//! that share their low bits do not crowd one bucket run.
 //!
 //! [`StatsState`] is the streaming accumulator: each shard contributes the
 //! counts and the local first-appearance list of its **core** region, keyed
@@ -16,70 +18,130 @@
 //! lists in sequence order and deduplicating (keeping the first occurrence)
 //! reconstructs the exact global order for any shard arrival order.
 //! Duplicate sequence numbers are ignored, which makes re-streaming a shard
-//! after a crash idempotent.
+//! after a crash idempotent. [`StatsState::finalize`] builds the same index
+//! as [`TraceStats::of`], without the event stream.
 
 use crate::trace::{BlockId, TrimmedTrace};
 use clop_util::bytes::{put_varint, ByteReader};
-use clop_util::{ClopError, ClopResult, FxHashSet};
+use clop_util::{ClopError, ClopResult, FxHashMap, FxHashSet};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// The statistics of a trace that layout construction consumes: dense
-/// occurrence counts and the global first-appearance order.
+/// The key the index's id maps hash. [`FxHashMap`] buckets a `u32` by its
+/// low bits alone, so ids that share their low half (aligned addresses, a
+/// foreign numbering) would all probe one bucket run; folding the high
+/// half in is a bijection that spreads them.
+fn spread(id: u32) -> u32 {
+    id ^ (id >> 16)
+}
+
+/// The index of one trimmed trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Occurrence count per block id (dense, indexed by `BlockId::index`,
-    /// length = max id + 1; empty for an empty trace).
+    /// Block ids by heat rank: most occurrences first, then smaller id.
+    ids: Vec<BlockId>,
+    /// Occurrence count by heat rank.
     counts: Vec<u64>,
-    /// Distinct blocks in order of first appearance.
-    first: Vec<BlockId>,
+    /// Heat rank of every distinct block, keyed by [`spread`] id.
+    rank: FxHashMap<u32, u32>,
+    /// Heat ranks in first-appearance order.
+    first: Vec<u32>,
+    /// The trace's events as heat ranks; empty when built from a fold.
+    events: Vec<u32>,
 }
 
 impl TraceStats {
-    /// Compute the statistics of a whole trace (the batch path).
+    /// Index a whole trace in one pass.
     pub fn of(trace: &TrimmedTrace) -> TraceStats {
-        let counts = trace.occurrence_counts();
-        let mut seen = vec![false; counts.len()];
+        // Number blocks by first appearance; `rank_by_heat` renumbers.
+        let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
         let mut first = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut events = Vec::with_capacity(trace.len());
         for e in trace.iter() {
-            if !seen[e.index()] {
-                seen[e.index()] = true;
+            let s = *slot.entry(spread(e.0)).or_insert_with(|| {
                 first.push(e);
-            }
+                counts.push(0);
+                (first.len() - 1) as u32
+            });
+            counts[s as usize] += 1;
+            events.push(s);
         }
-        TraceStats { counts, first }
+        TraceStats::rank_by_heat(first, counts, slot, events)
     }
 
-    /// Occurrence count of `block` (0 for blocks never seen).
-    pub fn count(&self, block: BlockId) -> u64 {
-        self.counts.get(block.index()).copied().unwrap_or(0)
+    /// The index of blocks given in first-appearance order with their
+    /// counts. `slot` maps each [`spread`] id, and `events` each event, to
+    /// a first-appearance index; both are renumbered into heat ranks.
+    fn rank_by_heat(
+        first: Vec<BlockId>,
+        counts: Vec<u64>,
+        mut slot: FxHashMap<u32, u32>,
+        mut events: Vec<u32>,
+    ) -> TraceStats {
+        let mut by_heat: Vec<u32> = (0..first.len() as u32).collect();
+        by_heat.sort_unstable_by_key(|&s| (Reverse(counts[s as usize]), first[s as usize]));
+        let mut rank_of = vec![0u32; first.len()];
+        for (r, &s) in by_heat.iter().enumerate() {
+            rank_of[s as usize] = r as u32;
+        }
+        for r in slot.values_mut().chain(events.iter_mut()) {
+            *r = rank_of[*r as usize];
+        }
+        TraceStats {
+            ids: by_heat.iter().map(|&s| first[s as usize]).collect(),
+            counts: by_heat.iter().map(|&s| counts[s as usize]).collect(),
+            rank: slot,
+            first: rank_of,
+            events,
+        }
     }
 
-    /// Dense per-id occurrence counts (length = max id + 1).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Distinct blocks in global first-appearance order.
-    pub fn first_appearance(&self) -> &[BlockId] {
-        &self.first
-    }
-
-    /// Distinct blocks sorted by id (the order
-    /// [`TrimmedTrace::distinct_blocks`] produces).
-    pub fn distinct_sorted(&self) -> Vec<BlockId> {
-        let mut v = self.first.clone();
-        v.sort_unstable();
-        v
-    }
-
-    /// Number of distinct blocks.
+    /// Number of distinct blocks, the `B` of the paper's complexity
+    /// analyses.
     pub fn num_distinct(&self) -> usize {
-        self.first.len()
+        self.ids.len()
     }
 
     /// True when the underlying trace held no event.
     pub fn is_empty(&self) -> bool {
-        self.first.is_empty()
+        self.ids.is_empty()
+    }
+
+    /// Block ids by heat rank.
+    pub fn heat_order(&self) -> &[BlockId] {
+        &self.ids
+    }
+
+    /// Occurrence counts by heat rank (non-increasing).
+    pub fn heat_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Heat rank of `block`; `None` for a block the trace never names.
+    pub fn rank(&self, block: BlockId) -> Option<u32> {
+        self.rank.get(&spread(block.0)).copied()
+    }
+
+    /// Occurrence count of `block` (0 for blocks never seen).
+    pub fn count(&self, block: BlockId) -> u64 {
+        self.rank(block).map_or(0, |r| self.counts[r as usize])
+    }
+
+    /// Heat ranks in first-appearance order.
+    pub fn first_ranks(&self) -> &[u32] {
+        &self.first
+    }
+
+    /// Distinct blocks in global first-appearance order.
+    pub fn first_appearance(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.first.iter().map(|&r| self.ids[r as usize])
+    }
+
+    /// The trace's events renumbered into heat ranks; empty when the index
+    /// was built from a fold.
+    pub fn ranked_events(&self) -> &[u32] {
+        &self.events
     }
 }
 
@@ -112,7 +174,7 @@ impl StatsState {
         let mut first = Vec::new();
         for e in core {
             *self.counts.entry(e.0).or_insert(0) += 1;
-            if seen.insert(e.0) {
+            if seen.insert(spread(e.0)) {
                 first.push(e.0);
             }
         }
@@ -130,26 +192,27 @@ impl StatsState {
         self.firsts.len() as u64
     }
 
-    /// Reconstruct the exact batch [`TraceStats`]: counts are the shard
-    /// sums; the first-appearance order is the sequence-ordered
-    /// concatenation of per-core lists with later duplicates dropped.
+    /// The index of the absorbed cores: counts are the shard sums; the
+    /// first-appearance order is the sequence-ordered concatenation of
+    /// per-core lists with later duplicates dropped. Once every shard of a
+    /// trace is absorbed it equals [`TraceStats::of`] on that trace, minus
+    /// the event stream.
     pub fn finalize(&self) -> TraceStats {
-        let max = self.counts.keys().next_back().copied();
-        let mut counts = vec![0u64; max.map_or(0, |m| m as usize + 1)];
-        for (&id, &c) in &self.counts {
-            counts[id as usize] = c;
-        }
-        let mut seen = vec![false; counts.len()];
+        let mut slot = FxHashMap::default();
         let mut first = Vec::new();
-        for ids in self.firsts.values() {
-            for &id in ids {
-                if !seen[id as usize] {
-                    seen[id as usize] = true;
-                    first.push(BlockId(id));
-                }
+        for &id in self.firsts.values().flatten() {
+            slot.entry(spread(id)).or_insert_with(|| {
+                first.push(BlockId(id));
+                (first.len() - 1) as u32
+            });
+        }
+        let mut counts = vec![0; first.len()];
+        for (&id, &c) in &self.counts {
+            if let Some(&s) = slot.get(&spread(id)) {
+                counts[s as usize] = c;
             }
         }
-        TraceStats { counts, first }
+        TraceStats::rank_by_heat(first, counts, slot, Vec::new())
     }
 
     /// Canonical binary snapshot (deterministic: `BTreeMap` iteration is
@@ -223,18 +286,56 @@ mod tests {
         TrimmedTrace::from_indices((0..len).map(|_| (next() % blocks as u64) as u32))
     }
 
+    /// The fold's index: the batch index without its event stream.
+    fn folded(mut s: TraceStats) -> TraceStats {
+        s.events.clear();
+        s
+    }
+
     #[test]
-    fn batch_stats_match_trace_accessors() {
+    fn index_orders_blocks_by_heat_and_first_appearance() {
+        // Counts: B4 3, B1 2, B2 2, B3 1, B5 1.
         let t = TrimmedTrace::from_indices([1, 4, 2, 4, 2, 3, 5, 1, 4]);
         let s = TraceStats::of(&t);
-        assert_eq!(s.counts(), t.occurrence_counts().as_slice());
-        assert_eq!(s.distinct_sorted(), t.distinct_blocks());
+        let ids = |v: &[u32]| v.iter().map(|&i| BlockId(i)).collect::<Vec<_>>();
+        assert_eq!(s.heat_order(), ids(&[4, 1, 2, 3, 5]).as_slice());
+        assert_eq!(s.heat_counts(), &[3, 2, 2, 1, 1]);
         assert_eq!(
-            s.first_appearance(),
-            &[BlockId(1), BlockId(4), BlockId(2), BlockId(3), BlockId(5)]
+            s.first_appearance().collect::<Vec<_>>(),
+            ids(&[1, 4, 2, 3, 5])
         );
+        assert_eq!(s.first_ranks(), &[1, 0, 2, 3, 4]);
+        assert_eq!(s.ranked_events(), &[1, 0, 2, 0, 2, 3, 4, 1, 0]);
+        assert_eq!(s.rank(BlockId(2)), Some(2));
+        assert_eq!(s.rank(BlockId(99)), None);
         assert_eq!(s.count(BlockId(4)), 3);
         assert_eq!(s.count(BlockId(99)), 0);
+        assert_eq!(s.num_distinct(), 5);
+    }
+
+    #[test]
+    fn index_is_sized_by_the_trace_not_its_largest_id() {
+        let t = TrimmedTrace::from_indices([u32::MAX, 0, u32::MAX - 1, u32::MAX]);
+        let s = TraceStats::of(&t);
+        assert_eq!(
+            s.heat_order(),
+            &[BlockId(u32::MAX), BlockId(0), BlockId(u32::MAX - 1)]
+        );
+        assert_eq!(s.ranked_events(), &[0, 1, 2, 0]);
+        let mut state = StatsState::new();
+        state.absorb(0, t.events());
+        assert_eq!(state.finalize(), folded(s));
+    }
+
+    #[test]
+    fn ids_sharing_their_low_half_spread_over_the_low_bits() {
+        let low: FxHashSet<u32> = (0..1u32 << 16).map(|j| spread(j << 16) & 0xffff).collect();
+        assert_eq!(low.len(), 1 << 16);
+        let t = TrimmedTrace::from_indices((0..4096u32).map(|j| (j % 512) << 16 | 7));
+        let s = TraceStats::of(&t);
+        assert_eq!(s.num_distinct(), 512);
+        assert_eq!(s.count(BlockId(5 << 16 | 7)), 8);
+        assert_eq!(s.rank(BlockId(7)), Some(0));
     }
 
     #[test]
@@ -250,7 +351,9 @@ mod tests {
     fn shard_fold_matches_batch_for_any_order() {
         for seed in 0..6u64 {
             let t = random_trace(seed, 300, 23);
-            let expect = TraceStats::of(&t);
+            let batch = TraceStats::of(&t);
+            let order: Vec<BlockId> = batch.first_appearance().collect();
+            let expect = folded(batch);
             for jobs in [1usize, 2, 3, 7] {
                 let regions = shards(&t, jobs, 4, 0);
                 // Reversed arrival plus a duplicate of every shard.
@@ -260,7 +363,16 @@ mod tests {
                     assert!(state.absorb(i as u64, core));
                     assert!(!state.absorb(i as u64, core), "duplicate must be ignored");
                 }
-                assert_eq!(state.finalize(), expect, "seed {} jobs {}", seed, jobs);
+                let got = state.finalize();
+                // The fold's first-appearance order is the batch order.
+                assert_eq!(
+                    got.first_appearance().collect::<Vec<_>>(),
+                    order,
+                    "seed {} jobs {}",
+                    seed,
+                    jobs
+                );
+                assert_eq!(got, expect, "seed {} jobs {}", seed, jobs);
                 assert_eq!(state.shards_absorbed(), regions.len() as u64);
             }
         }

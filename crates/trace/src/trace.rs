@@ -1,4 +1,5 @@
 //! Trace representation and the trimming invariant of Definition 1.
+//! Per-block statistics live in the trace index, [`crate::TraceStats`].
 
 use std::fmt;
 
@@ -9,7 +10,7 @@ use std::fmt;
 pub struct BlockId(pub u32);
 
 impl BlockId {
-    /// The raw index, usable directly as a dense-array slot.
+    /// The raw index (ids from the wire can be any `u32`).
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -146,33 +147,6 @@ impl TrimmedTrace {
         self.events.iter().copied()
     }
 
-    /// The set of distinct blocks appearing in the trace, sorted by id.
-    pub fn distinct_blocks(&self) -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = self.events.clone();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Number of distinct blocks, the `B` of the paper's complexity analyses.
-    pub fn num_distinct(&self) -> usize {
-        self.distinct_blocks().len()
-    }
-
-    /// Occurrence count per block id (dense, indexed by `BlockId::index`,
-    /// length = max id + 1; empty for an empty trace).
-    pub fn occurrence_counts(&self) -> Vec<u64> {
-        let max = match self.events.iter().map(|b| b.index()).max() {
-            Some(m) => m,
-            None => return Vec::new(),
-        };
-        let mut counts = vec![0u64; max + 1];
-        for e in &self.events {
-            counts[e.index()] += 1;
-        }
-        counts
-    }
-
     /// All positions at which `block` occurs, in increasing order.
     pub fn occurrences(&self, block: BlockId) -> Vec<usize> {
         self.events
@@ -230,19 +204,6 @@ mod tests {
         for w in tt.events().windows(2) {
             assert_ne!(w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn distinct_blocks_sorted_unique() {
-        let tt = TrimmedTrace::from_indices([4, 2, 4, 1, 2]);
-        assert_eq!(tt.distinct_blocks(), vec![b(1), b(2), b(4)]);
-        assert_eq!(tt.num_distinct(), 3);
-    }
-
-    #[test]
-    fn occurrence_counts_dense() {
-        let tt = TrimmedTrace::from_indices([0, 2, 0, 2, 0]);
-        assert_eq!(tt.occurrence_counts(), vec![3, 0, 2]);
     }
 
     #[test]

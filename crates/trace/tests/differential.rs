@@ -11,7 +11,7 @@
 
 use clop_oracle::{footprint_between, NaiveLruStack};
 use clop_trace::footprint::FootprintCurve;
-use clop_trace::{BlockId, LruStack, ReuseHistogram, TrimmedTrace};
+use clop_trace::{BlockId, LruStack, ReuseHistogram, TraceStats, TrimmedTrace};
 use clop_util::check::{check_n, vec_of_indices};
 use clop_util::Rng;
 
@@ -113,7 +113,7 @@ fn histograms_match_naive_oracle() {
         }
         assert_eq!(fast, slow);
         assert_eq!(fast.total(), t.len() as u64);
-        assert_eq!(fast.cold(), t.num_distinct() as u64);
+        assert_eq!(fast.cold(), TraceStats::of(&t).num_distinct() as u64);
     });
 }
 
@@ -250,12 +250,7 @@ fn repaired_corrupted_traces_keep_engines_in_agreement() {
             };
             assert_eq!(salvaged.len() as u64, report.decoded, "{}", c.description);
             let trimmed = salvaged.trim();
-            let max_id = trimmed
-                .distinct_blocks()
-                .iter()
-                .map(|b| b.0)
-                .max()
-                .unwrap_or(0);
+            let max_id = trimmed.iter().map(|b| b.0).max().unwrap_or(0);
             if max_id >= 1 << 20 {
                 continue; // corrupted ids would demand a pathological capacity
             }

@@ -4,7 +4,7 @@
 use clop_oracle::footprint_between;
 use clop_trace::footprint::FootprintCurve;
 use clop_trace::io;
-use clop_trace::{BlockId, LruStack, ReuseHistogram, Trace, TrimmedTrace};
+use clop_trace::{BlockId, LruStack, ReuseHistogram, Trace, TraceStats, TrimmedTrace};
 use clop_util::check::{check, vec_of_indices};
 
 /// Footprints are symmetric in their endpoints and bounded by the window
@@ -24,7 +24,7 @@ fn footprint_bounds() {
                 assert_eq!(fp, footprint_between(&t, b, a));
                 assert!(fp >= 1);
                 assert!(fp <= b - a + 1);
-                assert!(fp <= t.num_distinct());
+                assert!(fp <= TraceStats::of(&t).num_distinct());
             }
         }
     });
@@ -62,7 +62,7 @@ fn footprint_curve_shape() {
         }
         for w in 1..w_max {
             assert!(c.at(w + 1) + 1e-12 >= c.at(w));
-            assert!(c.at(w) <= t.num_distinct() as f64 + 1e-12);
+            assert!(c.at(w) <= TraceStats::of(&t).num_distinct() as f64 + 1e-12);
         }
     });
 }
@@ -119,7 +119,7 @@ fn histogram_conservation() {
         let t = Trace::from_indices(v).trim();
         let h = ReuseHistogram::measure(&t);
         assert_eq!(h.total(), t.len() as u64);
-        assert_eq!(h.cold(), t.num_distinct() as u64);
+        assert_eq!(h.cold(), TraceStats::of(&t).num_distinct() as u64);
         let finite: u64 = (0..t.len()).map(|d| h.count_at(d)).sum();
         assert_eq!(finite + h.cold(), h.total());
     });
@@ -168,7 +168,12 @@ fn trim_preserves_blocks() {
         let mut raw_set: Vec<u32> = v;
         raw_set.sort_unstable();
         raw_set.dedup();
-        let trimmed_set: Vec<u32> = t.distinct_blocks().iter().map(|b| b.0).collect();
+        let mut trimmed_set: Vec<u32> = TraceStats::of(&t)
+            .heat_order()
+            .iter()
+            .map(|b| b.0)
+            .collect();
+        trimmed_set.sort_unstable();
         assert_eq!(raw_set, trimmed_set);
     });
 }

@@ -9,14 +9,21 @@
 //!
 //! Because the window gates which reuses count, the construction only ever
 //! needs the top `min(window, B)` stack entries. [`Trg::build_jobs`]
-//! maintains exactly that prefix as a flat array of *heat ranks* (blocks
-//! renumbered hottest-first, so the dense edge matrix clusters hot pairs):
-//! a membership bitset answers "in window?" in O(1), a found block's walk
-//! index *is* its reuse distance, and the blocks above it — `walk[0..d]` —
-//! are the conflict partners, accumulated into a triangular `u32` matrix
-//! when the block universe is small (the common case) or a hash map
-//! otherwise. One position scan plus one `copy_within` per access replaces
-//! the Fenwick-tree promotion and the per-edge list walk.
+//! maintains exactly that prefix as a flat array of *heat ranks* — the
+//! trace index's renumbering of blocks, hottest first
+//! ([`clop_trace::TraceStats`]), so the dense edge matrix clusters hot
+//! pairs and every table is sized by the distinct-block count, never by
+//! the largest id: a membership bitset answers "in window?" in O(1), a
+//! found block's walk index *is* its reuse distance, and the blocks above
+//! it — `walk[0..d]` — are the conflict partners, accumulated into a
+//! triangular `u32` matrix when the block universe is small (the common
+//! case) or a hash map otherwise. Block ids appear only as output keys.
+//! One position scan plus one `copy_within` per access replaces the
+//! Fenwick-tree promotion and the per-edge list walk.
+//!
+//! A [`Trg`] is just its edges. The first-appearance order that the
+//! reduction needs for tie-breaks and leftovers comes from the trace index
+//! (or its fold, [`clop_trace::StatsState`]), not from the graph.
 //!
 //! The builder is sharded with [`clop_trace::shard::shards`]: each worker
 //! replays a `window + 1`-deep distinct-block prefix to reconstruct the
@@ -36,7 +43,7 @@
 
 use crate::incremental::{TrgDelta, TrgState};
 use clop_trace::shard::{shards_adaptive, Shard};
-use clop_trace::{BlockId, TrimmedTrace};
+use clop_trace::{BlockId, TraceStats, TrimmedTrace};
 use clop_util::pool::parallel_map;
 use clop_util::FxHashMap;
 
@@ -49,7 +56,6 @@ const DENSE_NODE_MAX: usize = 1024;
 #[derive(Clone, Debug, Default)]
 pub struct Trg {
     edges: FxHashMap<(u32, u32), u64>,
-    nodes: Vec<BlockId>,
 }
 
 impl Trg {
@@ -64,34 +70,35 @@ impl Trg {
     /// `jobs` value (window-overlap sharding with a sum merge; see the
     /// module docs).
     ///
-    /// The multi-shard path is expressed as the incremental fold:
-    /// per-shard [`TrgDelta`]s absorbed into a [`TrgState`], so the
-    /// streaming and batch paths share one merge. A single region (the
-    /// sequential case, and any trace too small for adaptive sharding to
-    /// split) skips the delta round trip — the region's edge map *is* the
-    /// graph, and the fold's equivalence to this path is pinned by the
-    /// property suites, not by routing every build through it.
+    /// The trace is indexed once and every region reads that index. The
+    /// multi-shard path is expressed as the incremental fold: per-shard
+    /// [`TrgDelta`]s absorbed into a [`TrgState`], so the streaming and
+    /// batch paths share one merge. A single region (the sequential case,
+    /// and any trace too small for adaptive sharding to split) skips the
+    /// delta round trip — the region's edge map *is* the graph, and the
+    /// fold's equivalence to this path is pinned by the property suites,
+    /// not by routing every build through it.
     pub fn build_jobs(trace: &TrimmedTrace, window: usize, jobs: usize) -> Self {
-        let (rank, by_heat) = heat_ranks(trace);
-        if by_heat.is_empty() {
+        Self::build_indexed(trace, &TraceStats::of(trace), window, jobs)
+    }
+
+    /// [`Trg::build_jobs`] over the trace's index, built once by a caller
+    /// that reads it again (`trg_layout_jobs`).
+    pub(crate) fn build_indexed(
+        trace: &TrimmedTrace,
+        stats: &TraceStats,
+        window: usize,
+        jobs: usize,
+    ) -> Self {
+        if stats.is_empty() {
             return Trg::default();
         }
         let regions = shards_adaptive(trace, jobs, window.saturating_add(1), 0);
         if let [sh] = regions.as_slice() {
-            let edges = build_region(trace, window, &rank, &by_heat, by_heat.len(), *sh);
-            let mut seen = vec![false; by_heat.len()];
-            let mut nodes = Vec::new();
-            for &e in trace.events() {
-                let r = rank[e.index()] as usize;
-                if !seen[r] {
-                    seen[r] = true;
-                    nodes.push(e);
-                }
-            }
-            return Trg { edges, nodes };
+            return Trg::from_parts(build_region(stats, window, *sh));
         }
         let deltas = parallel_map(jobs, regions, |i, sh| {
-            TrgDelta::of_region(i as u64, trace, window, &rank, &by_heat, sh)
+            TrgDelta::of_region(i as u64, stats, window, sh)
         });
         let mut state = TrgState::new(window);
         for d in &deltas {
@@ -101,29 +108,21 @@ impl Trg {
         state.into_graph()
     }
 
-    /// Assemble a graph from already-merged parts (the incremental fold's
-    /// [`TrgState::finalize`]). `nodes` must be in global first-appearance
-    /// order.
-    pub(crate) fn from_parts(edges: FxHashMap<(u32, u32), u64>, nodes: Vec<BlockId>) -> Self {
-        Trg { edges, nodes }
+    /// Assemble a graph from already-merged edges (the incremental fold's
+    /// [`TrgState::finalize`]).
+    pub(crate) fn from_parts(edges: FxHashMap<(u32, u32), u64>) -> Self {
+        Trg { edges }
     }
 
     /// Build directly from explicit edges (used by tests mirroring the
     /// paper's Figure 2, where the graph is given, not derived).
     pub fn from_edges(edges: &[(u32, u32, u64)]) -> Self {
         let mut map = FxHashMap::default();
-        let mut nodes: Vec<BlockId> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
         for &(x, y, w) in edges {
             assert_ne!(x, y, "self edges are meaningless in a TRG");
             *map.entry((x.min(y), x.max(y))).or_insert(0) += w;
-            for n in [x, y] {
-                if seen.insert(n) {
-                    nodes.push(BlockId(n));
-                }
-            }
         }
-        Trg { edges: map, nodes }
+        Trg { edges: map }
     }
 
     /// Edge weight between two blocks (0 when absent).
@@ -144,52 +143,29 @@ impl Trg {
             .map(|(&(x, y), &w)| (BlockId(x), BlockId(y), w))
     }
 
-    /// Nodes in first-appearance order.
-    pub fn nodes(&self) -> &[BlockId] {
-        &self.nodes
-    }
-
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
 }
 
-/// Heat ranks of a trace: hottest block gets rank 0 so the dense matrix
-/// keeps hot pairs in adjacent cells. Ranks only steer internal indexing;
-/// shard outputs are keyed by block ids, which is what makes a delta
-/// measured with *segment-local* ranks identical to one measured with
-/// global ranks. Returns `(rank_by_id, ids_by_rank)`; the sort key
-/// `(count desc, id)` is a total order, so the result does not depend on
-/// any seed ordering.
-pub(crate) fn heat_ranks(trace: &TrimmedTrace) -> (Vec<u32>, Vec<u32>) {
-    let counts = trace.occurrence_counts();
-    let mut by_heat: Vec<u32> = (0..counts.len() as u32)
-        .filter(|&b| counts[b as usize] > 0)
-        .collect();
-    by_heat.sort_unstable_by_key(|&b| (std::cmp::Reverse(counts[b as usize]), b));
-    let mut rank = vec![0u32; counts.len()];
-    for (r, &b) in by_heat.iter().enumerate() {
-        rank[b as usize] = r as u32;
-    }
-    (rank, by_heat)
-}
-
 /// One shard's edge contributions, keyed by block-id pairs `(min, max)`.
 ///
-/// Maintains the top-`min(window, nd)` LRU prefix over heat ranks: `walk`
-/// is MRU-first, `in_walk` is its membership bitset. A found block's index
-/// is its reuse distance `d`; the conflict partners are `walk[0..d]`,
-/// credited *before* the rotation that promotes the block.
+/// `sh` indexes `stats.ranked_events()`. Maintains the top-`min(window,
+/// nd)` LRU prefix over heat ranks: `walk` is MRU-first, `in_walk` is its
+/// membership bitset. A found block's index is its reuse distance `d`; the
+/// conflict partners are `walk[0..d]`, credited *before* the rotation that
+/// promotes the block. Ranks only steer internal indexing; outputs are
+/// keyed by block ids, which is what makes a delta measured with
+/// *segment-local* ranks identical to one measured with global ranks.
 pub(crate) fn build_region(
-    trace: &TrimmedTrace,
+    stats: &TraceStats,
     window: usize,
-    rank: &[u32],
-    by_heat: &[u32],
-    nd: usize,
     sh: Shard,
 ) -> FxHashMap<(u32, u32), u64> {
-    let ev = trace.events();
+    let ev = stats.ranked_events();
+    let by_heat = stats.heat_order();
+    let nd = by_heat.len();
     let wcap = window.min(nd);
     let mut map: FxHashMap<(u32, u32), u64> = FxHashMap::default();
     if wcap == 0 {
@@ -203,8 +179,8 @@ pub(crate) fn build_region(
     // rotating the walk once per overlap event.
     let mut last = vec![u32::MAX; nd];
     let mut touched: Vec<u32> = Vec::new();
-    for t in sh.start..sh.core_start {
-        let r = rank[ev[t].index()] as usize;
+    for (t, &r) in ev.iter().enumerate().take(sh.core_start).skip(sh.start) {
+        let r = r as usize;
         if last[r] == u32::MAX {
             touched.push(r as u32);
         }
@@ -229,8 +205,7 @@ pub(crate) fn build_region(
         Vec::new()
     };
 
-    for t in sh.core_start..sh.core_end {
-        let ra = rank[ev[t].index()];
+    for &ra in &ev[sh.core_start..sh.core_end] {
         if in_walk[ra as usize] {
             // Reuse within the window: the walk index is the reuse
             // distance (the walk is an exact LRU-stack prefix, and a block
@@ -244,9 +219,9 @@ pub(crate) fn build_region(
                             mat[tri(a, rx as usize)] += 1;
                         }
                     } else {
-                        let ia = by_heat[ra as usize];
+                        let ia = by_heat[ra as usize].0;
                         for &rx in &walk[..d] {
-                            let ix = by_heat[rx as usize];
+                            let ix = by_heat[rx as usize].0;
                             *map.entry((ia.min(ix), ia.max(ix))).or_insert(0) += 1;
                         }
                     }
@@ -274,7 +249,7 @@ pub(crate) fn build_region(
                 let w = mat[idx];
                 idx += 1;
                 if w > 0 {
-                    let (a, b) = (by_heat[lo], by_heat[hi]);
+                    let (a, b) = (by_heat[lo].0, by_heat[hi].0);
                     map.insert((a.min(b), a.max(b)), u64::from(w));
                 }
             }
@@ -303,13 +278,7 @@ mod tests {
             .unwrap_or(0);
         let mut stack = LruStack::new(cap);
         let mut edges: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        let mut seen = vec![false; cap];
-        let mut nodes = Vec::new();
         for &a in trace.events() {
-            if !seen[a.index()] {
-                seen[a.index()] = true;
-                nodes.push(a);
-            }
             let d = stack.access(a);
             if d != LruStack::INFINITE && d > 0 && d < window {
                 let mut idx = 0usize;
@@ -322,7 +291,7 @@ mod tests {
                 });
             }
         }
-        Trg { edges, nodes }
+        Trg { edges }
     }
 
     fn random_trace(seed: u64, len: usize, blocks: u32) -> TrimmedTrace {
@@ -356,7 +325,6 @@ mod tests {
         let t = TrimmedTrace::from_indices([0, 1, 2, 3]);
         let g = Trg::build(&t, 16);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.nodes().len(), 4);
     }
 
     #[test]
@@ -393,7 +361,6 @@ mod tests {
         assert_eq!(g.weight(b(1), b(2)), 42);
         assert_eq!(g.weight(b(2), b(3)), 5);
         assert_eq!(g.weight(b(1), b(3)), 0);
-        assert_eq!(g.nodes().len(), 3);
     }
 
     #[test]
@@ -428,7 +395,6 @@ mod tests {
                     seed,
                     window
                 );
-                assert_eq!(oracle.nodes(), flat.nodes(), "seed {}", seed);
             }
         }
     }
@@ -450,7 +416,6 @@ mod tests {
                         window,
                         jobs
                     );
-                    assert_eq!(base.nodes(), sharded.nodes());
                 }
             }
         }
@@ -470,7 +435,7 @@ mod tests {
             ids.push((state % 30) as u32);
         }
         let t = TrimmedTrace::from_indices(ids);
-        assert!(t.num_distinct() > DENSE_NODE_MAX);
+        assert!(TraceStats::of(&t).num_distinct() > DENSE_NODE_MAX);
         let oracle = build_oracle(&t, 12);
         for jobs in [1usize, 4] {
             let g = Trg::build_jobs(&t, 12, jobs);
@@ -495,6 +460,5 @@ mod tests {
         let t = TrimmedTrace::from_indices([0, 1, 0, 1]);
         let g = Trg::build(&t, 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.nodes().len(), 2);
     }
 }

@@ -6,28 +6,29 @@
 //!
 //! * [`TrgDelta`] — one shard's contribution: the conflict-edge increments
 //!   its core attributes (sum-mergeable, Definition 6 counts one conflict
-//!   per interleaved reuse) plus the core's block first-appearance list,
-//!   keyed by the shard's sequence number. A delta is computed from a
-//!   standalone segment with **local** heat ranks — ranks only steer
-//!   internal table indexing and edges are keyed by block ids, so a delta
-//!   measured from a CLSH shard file equals one measured in place.
+//!   per interleaved reuse), keyed by the shard's sequence number. A delta
+//!   is computed from a standalone segment's own trace index — **local**
+//!   heat ranks only steer internal table indexing and edges are keyed by
+//!   block ids, so a delta measured from a CLSH shard file equals one
+//!   measured in place.
 //! * [`TrgState`] — the running fold. Edge absorption is a plain sum —
 //!   commutative and associative, so arrival order is irrelevant — and a
-//!   sequence-number map makes duplicate delivery idempotent. Node order
-//!   is reconstructed on [`TrgState::finalize`] by concatenating the core
-//!   first-appearance lists in sequence order and deduplicating keep-first:
-//!   because cores partition the trace in sequence order, that is exactly
-//!   the global first-appearance order.
+//!   sequence-number set makes duplicate delivery idempotent.
 //!
-//! The batch path ([`Trg::build_jobs`]) is itself expressed as this fold,
-//! so batch/incremental equivalence is exercised by every existing test.
+//! A graph is only its edges: the first-appearance order that the
+//! reduction needs comes from the trace index, whose own fold
+//! ([`clop_trace::StatsState`]) keeps the per-core first-appearance lists.
+//!
+//! The multi-region batch path ([`Trg::build_jobs`]) is itself expressed
+//! as this fold, so batch/incremental equivalence is exercised by every
+//! existing test.
 
-use crate::graph::{build_region, heat_ranks, Trg};
+use crate::graph::{build_region, Trg};
 use clop_trace::shard::Shard;
-use clop_trace::{BlockId, TrimmedTrace};
+use clop_trace::{TraceStats, TrimmedTrace};
 use clop_util::bytes::{put_varint, ByteReader};
 use clop_util::{ClopError, ClopResult, FxHashMap};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// One shard's contribution to the TRG construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,8 +38,6 @@ pub struct TrgDelta {
     /// Edge increments `((lo, hi), weight)`, sorted by pair key for
     /// canonical equality.
     edges: Vec<((u32, u32), u64)>,
-    /// Block ids in first-appearance order over the shard's core.
-    first: Vec<u32>,
 }
 
 impl TrgDelta {
@@ -58,45 +57,40 @@ impl TrgDelta {
         core_start: usize,
         core_end: usize,
     ) -> TrgDelta {
-        let (rank, by_heat) = heat_ranks(segment);
-        let core_end = core_end.min(segment.len());
+        TrgDelta::measure_indexed(seq, &TraceStats::of(segment), window, core_start, core_end)
+    }
+
+    /// [`TrgDelta::measure`] over the segment's index (built by
+    /// [`TraceStats::of`]), for a caller that measures the affinity delta
+    /// of the same segment too.
+    pub fn measure_indexed(
+        seq: u64,
+        segment: &TraceStats,
+        window: usize,
+        core_start: usize,
+        core_end: usize,
+    ) -> TrgDelta {
+        let len = segment.ranked_events().len();
+        let core_end = core_end.min(len);
         let sh = Shard {
             start: 0,
             core_start: core_start.min(core_end),
             core_end,
-            end: segment.len(),
+            end: len,
         };
-        TrgDelta::of_region(seq, segment, window, &rank, &by_heat, sh)
+        TrgDelta::of_region(seq, segment, window, sh)
     }
 
-    /// Measure the delta of one region of a larger trace (the batch path:
-    /// heat ranks are precomputed once and shared across regions).
-    pub(crate) fn of_region(
-        seq: u64,
-        trace: &TrimmedTrace,
-        window: usize,
-        rank: &[u32],
-        by_heat: &[u32],
-        sh: Shard,
-    ) -> TrgDelta {
-        let nd = by_heat.len();
-        let map = build_region(trace, window, rank, by_heat, nd, sh);
-        let mut edges: Vec<((u32, u32), u64)> = map.into_iter().collect();
+    /// Measure the delta of one region of an indexed trace (the batch path
+    /// shares one index across its regions).
+    pub(crate) fn of_region(seq: u64, stats: &TraceStats, window: usize, sh: Shard) -> TrgDelta {
+        let mut edges: Vec<((u32, u32), u64)> =
+            build_region(stats, window, sh).into_iter().collect();
         edges.sort_unstable_by_key(|&(k, _)| k);
-        let mut seen = vec![false; nd];
-        let mut first = Vec::new();
-        for e in &trace.events()[sh.core_start..sh.core_end] {
-            let r = rank[e.index()] as usize;
-            if !seen[r] {
-                seen[r] = true;
-                first.push(e.0);
-            }
-        }
         TrgDelta {
             seq,
             window: window as u64,
             edges,
-            first,
         }
     }
 
@@ -114,15 +108,12 @@ impl TrgDelta {
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
-
-    /// Number of distinct blocks in the shard's core.
-    pub fn num_blocks(&self) -> usize {
-        self.first.len()
-    }
 }
 
-/// Snapshot format magic for [`TrgState::to_bytes`].
-const STATE_MAGIC: &[u8; 4] = b"CLtg";
+/// Snapshot format magic for [`TrgState::to_bytes`]. The snapshot holds
+/// the edges and the absorbed sequence numbers; `CLtg`, the format that
+/// also carried per-shard first-appearance lists, is refused.
+const STATE_MAGIC: &[u8; 4] = b"CLt2";
 
 /// The running TRG fold: absorbed deltas, mergeable in any order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -130,9 +121,8 @@ pub struct TrgState {
     window: u64,
     /// Summed conflict-edge weights.
     edges: FxHashMap<(u32, u32), u64>,
-    /// Per-shard core first-appearance lists, keyed by sequence number
-    /// (doubles as the duplicate-delivery guard).
-    firsts: BTreeMap<u64, Vec<u32>>,
+    /// Sequence numbers already absorbed (duplicate-delivery guard).
+    seen: BTreeSet<u64>,
 }
 
 impl TrgState {
@@ -159,58 +149,41 @@ impl TrgState {
                 delta.window, self.window
             )));
         }
-        if self.firsts.contains_key(&delta.seq) {
+        if !self.seen.insert(delta.seq) {
             return Ok(false);
         }
         for &(k, w) in &delta.edges {
             *self.edges.entry(k).or_insert(0) += w;
         }
-        self.firsts.insert(delta.seq, delta.first.clone());
         Ok(true)
     }
 
     /// True when shard `seq` has been absorbed.
     pub fn contains(&self, seq: u64) -> bool {
-        self.firsts.contains_key(&seq)
+        self.seen.contains(&seq)
     }
 
     /// Number of distinct shards absorbed.
     pub fn shards_absorbed(&self) -> u64 {
-        self.firsts.len() as u64
+        self.seen.len() as u64
     }
 
     /// True when no shard has been absorbed.
     pub fn is_empty(&self) -> bool {
-        self.firsts.is_empty()
+        self.seen.is_empty()
     }
 
     /// The graph of the fold so far. Once all shards of a trace are
     /// absorbed this equals the batch [`Trg::build`] exactly; on a partial
     /// fold it is the TRG of the absorbed cores.
     pub fn finalize(&self) -> Trg {
-        Trg::from_parts(self.edges.clone(), self.node_order())
+        Trg::from_parts(self.edges.clone())
     }
 
     /// [`TrgState::finalize`], consuming the state: moves the edge map
     /// into the graph instead of cloning it (the batch build's last step).
     pub fn into_graph(self) -> Trg {
-        let nodes = self.node_order();
-        Trg::from_parts(self.edges, nodes)
-    }
-
-    /// Global first-appearance node order: concatenate the per-core
-    /// first-appearance lists in sequence order, deduplicating keep-first.
-    fn node_order(&self) -> Vec<BlockId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut nodes: Vec<BlockId> = Vec::new();
-        for ids in self.firsts.values() {
-            for &id in ids {
-                if seen.insert(id) {
-                    nodes.push(BlockId(id));
-                }
-            }
-        }
-        nodes
+        Trg::from_parts(self.edges)
     }
 
     /// Canonical binary snapshot: entries are emitted in sorted key order,
@@ -227,13 +200,9 @@ impl TrgState {
             put_varint(&mut buf, u64::from(hi));
             put_varint(&mut buf, w);
         }
-        put_varint(&mut buf, self.firsts.len() as u64);
-        for (&seq, ids) in &self.firsts {
+        put_varint(&mut buf, self.seen.len() as u64);
+        for &seq in &self.seen {
             put_varint(&mut buf, seq);
-            put_varint(&mut buf, ids.len() as u64);
-            for &id in ids {
-                put_varint(&mut buf, u64::from(id));
-            }
         }
         buf
     }
@@ -253,16 +222,10 @@ impl TrgState {
             let w = r.varint("edge weight")?;
             edges.insert((lo, hi), w);
         }
-        let nfirsts = r.varint_usize("shard entries")?;
-        let mut firsts = BTreeMap::new();
-        for _ in 0..nfirsts {
-            let seq = r.varint("shard seq")?;
-            let nids = r.varint_usize("first-appearance entries")?;
-            let mut ids = Vec::with_capacity(nids.min(4096));
-            for _ in 0..nids {
-                ids.push(r.varint_u32("block id")?);
-            }
-            firsts.insert(seq, ids);
+        let nseen = r.varint_usize("seq entries")?;
+        let mut seen = BTreeSet::new();
+        for _ in 0..nseen {
+            seen.insert(r.varint("shard seq")?);
         }
         if !r.is_empty() {
             return Err(ClopError::trace_decode(
@@ -273,7 +236,7 @@ impl TrgState {
         Ok(TrgState {
             window,
             edges,
-            firsts,
+            seen,
         })
     }
 }
@@ -341,7 +304,6 @@ mod tests {
                         window,
                         k
                     );
-                    assert_eq!(folded.nodes(), batch.nodes(), "seed {} k {}", seed, k);
                 }
             }
         }
@@ -378,25 +340,21 @@ mod tests {
     fn single_segment_delta_equals_whole_trace() {
         let t = random_trace(3, 150, 8);
         let d = TrgDelta::measure(0, &t, 6, 0, t.len());
-        assert_eq!(d.num_blocks(), t.num_distinct());
         let mut state = TrgState::new(6);
         state.absorb(&d).unwrap();
         let batch = Trg::build(&t, 6);
-        let folded = state.finalize();
-        assert_eq!(sorted_edges(&folded), sorted_edges(&batch));
-        assert_eq!(folded.nodes(), batch.nodes());
+        assert_eq!(sorted_edges(&state.finalize()), sorted_edges(&batch));
     }
 
     #[test]
-    fn zero_window_fold_preserves_nodes() {
+    fn zero_window_fold_is_edgeless() {
         let t = TrimmedTrace::from_indices([3, 1, 3, 2, 1]);
         let mut state = TrgState::new(0);
         state
             .absorb(&TrgDelta::measure(0, &t, 0, 0, t.len()))
             .unwrap();
-        let g = state.finalize();
-        assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.nodes(), Trg::build(&t, 0).nodes());
+        assert_eq!(state.finalize().num_edges(), 0);
+        assert_eq!(state.shards_absorbed(), 1);
     }
 
     #[test]
@@ -414,7 +372,6 @@ mod tests {
             sorted_edges(&back.finalize()),
             sorted_edges(&state.finalize())
         );
-        assert_eq!(back.finalize().nodes(), state.finalize().nodes());
     }
 
     #[test]
@@ -427,5 +384,18 @@ mod tests {
         let bytes = state.to_bytes();
         assert!(TrgState::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(TrgState::from_bytes(b"XXXX").is_err());
+    }
+
+    #[test]
+    fn snapshot_with_first_appearance_lists_is_refused() {
+        // The earlier format: window 4, edge (1, 2) of weight 2, then shard
+        // 0 with its core's first-appearance list [1, 2].
+        let old = [b'C', b'L', b't', b'g', 4, 1, 1, 2, 2, 1, 0, 2, 1, 2];
+        let err = TrgState::from_bytes(&old).unwrap_err();
+        assert!(
+            err.to_string().contains("not a TRG-state snapshot"),
+            "{}",
+            err
+        );
     }
 }

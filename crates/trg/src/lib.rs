@@ -39,7 +39,7 @@ pub use incremental::{TrgDelta, TrgState};
 pub use placement::{place_with_padding, PaddedPlacement, PlacedBlock};
 pub use reduce::{reduce, reduce_from_stats, SlotAssignment};
 
-use clop_trace::{BlockId, TrimmedTrace};
+use clop_trace::{BlockId, TraceStats, TrimmedTrace};
 
 /// Configuration of the TRG optimizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,10 +91,12 @@ pub fn trg_layout(trace: &TrimmedTrace, config: TrgConfig) -> Vec<BlockId> {
 }
 
 /// [`trg_layout`] with the graph construction sharded over up to `jobs`
-/// workers; the layout is bit-identical for any `jobs` value.
+/// workers; the layout is bit-identical for any `jobs` value. Both stages
+/// read one trace index.
 pub fn trg_layout_jobs(trace: &TrimmedTrace, config: TrgConfig, jobs: usize) -> Vec<BlockId> {
-    let trg = Trg::build_jobs(trace, config.window, jobs);
-    reduce(&trg, config.slots, trace).sequence
+    let stats = TraceStats::of(trace);
+    let trg = Trg::build_indexed(trace, &stats, config.window, jobs);
+    reduce_from_stats(&trg, config.slots, &stats).sequence
 }
 
 #[cfg(test)]

@@ -15,8 +15,10 @@
 //! different cache-set regions.
 //!
 //! The working graph is never materialized. Edge-bearing blocks are
-//! renumbered densely in first-appearance rank order, and the two kinds of
-//! live edge are kept apart, each in the form its invariant allows:
+//! renumbered densely in first-appearance rank order — the order comes
+//! from the trace index ([`TraceStats`]), built from the trace or folded
+//! from shards; a [`Trg`] carries only edges — and the two kinds of live
+//! edge are kept apart, each in the form its invariant allows:
 //!
 //! * A **static** block–block edge keeps its input weight for as long as it
 //!   lives, and it lives exactly while both endpoints are unplaced. These
@@ -39,7 +41,10 @@
 //! block is placed (DESIGN.md §16 argues each step).
 //!
 //! Blocks that never appear in any edge (no conflicts) are appended to the
-//! shortest slot lists in first-appearance order before emission.
+//! shortest slot lists in first-appearance order before emission. Edge
+//! endpoints the order misses (a partial fold's edges can name blocks
+//! whose first appearance lies in a shard not yet absorbed) rank after
+//! every ordered block, in id order.
 
 use crate::graph::Trg;
 use clop_trace::{BlockId, TraceStats, TrimmedTrace};
@@ -73,28 +78,19 @@ fn key_ends(key: u128) -> (u32, u32) {
 }
 
 /// Run Algorithm 2 with `k` slots. The trace supplies the deterministic
-/// first-appearance order used for conflict-free blocks and tie-breaks.
+/// first-appearance order used for conflict-free blocks and tie-breaks,
+/// through its index.
 pub fn reduce(trg: &Trg, k: usize, trace: &TrimmedTrace) -> SlotAssignment {
-    // Trimmed-trace ids are dense, so a bitmap replaces a hash set.
-    let events = trace.events();
-    let mut seen = vec![false; events.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
-    let mut order: Vec<BlockId> = Vec::new();
-    for &b in events {
-        if !seen[b.index()] {
-            seen[b.index()] = true;
-            order.push(b);
-        }
-    }
-    reduce_ordered(trg, k, &order)
+    reduce_from_stats(trg, k, &TraceStats::of(trace))
 }
 
-/// [`reduce`] from the trace's order statistics instead of the trace
-/// itself — the incremental serving path folds [`clop_trace::StatsState`]
-/// from shards and never materializes the full trace. Bit-identical to
-/// [`reduce`], because the reduction consumes the trace only through its
-/// first-appearance order.
+/// [`reduce`] from the trace index alone — the incremental serving path
+/// folds [`clop_trace::StatsState`] from shards and never materializes the
+/// full trace. Bit-identical to [`reduce`], because the reduction consumes
+/// the trace only through its first-appearance order.
 pub fn reduce_from_stats(trg: &Trg, k: usize, stats: &TraceStats) -> SlotAssignment {
-    reduce_ordered(trg, k, stats.first_appearance())
+    let order: Vec<BlockId> = stats.first_appearance().collect();
+    reduce_ordered(trg, k, &order)
 }
 
 /// The reduction proper, over the distinct blocks of the trace in
@@ -154,12 +150,10 @@ struct DenseGraph {
 }
 
 impl DenseGraph {
-    /// Rank every block — first-appearance order, then graph nodes the
-    /// order misses, then edge endpoints missing from both in ascending id
-    /// order (a partial fold's edges can name blocks whose first
-    /// appearance lies in a shard not yet absorbed) — and lay the edges
-    /// out over the edge-bearing ones. Also returns the ranked blocks
-    /// without any edge, in rank order.
+    /// Rank every block — first-appearance order, then edge endpoints
+    /// the order misses in ascending id order — and lay the edges out over
+    /// the edge-bearing ones. Also returns the ordered blocks without any
+    /// edge, in rank order.
     fn new(trg: &Trg, order: &[BlockId]) -> (DenseGraph, Vec<BlockId>) {
         let mut rank: FxHashMap<u32, u32> = FxHashMap::default();
         let mut by_rank: Vec<u32> = Vec::new();
@@ -169,7 +163,7 @@ impl DenseGraph {
                 (by_rank.len() - 1) as u32
             })
         };
-        for b in order.iter().chain(trg.nodes()) {
+        for b in order {
             rank_of(b.0, &mut by_rank);
         }
         let ranked = by_rank.len();
@@ -556,7 +550,7 @@ mod tests {
     fn reduce_scan_oracle(trg: &Trg, k: usize, order: &[BlockId]) -> SlotAssignment {
         let k = k.max(1);
         let mut rank: FxHashMap<u32, usize> = FxHashMap::default();
-        for x in order.iter().chain(trg.nodes()) {
+        for x in order {
             let next = rank.len();
             rank.entry(x.0).or_insert(next);
         }
@@ -604,7 +598,6 @@ mod tests {
         }
         let mut leftovers: Vec<BlockId> = order
             .iter()
-            .chain(trg.nodes())
             .copied()
             .filter(|x| !placed.contains_key(&x.0))
             .collect();
@@ -626,8 +619,12 @@ mod tests {
     }
 
     fn first_appearance(trace: &TrimmedTrace) -> Vec<BlockId> {
-        let mut order = trace.distinct_blocks();
-        order.sort_by_key(|&x| trace.iter().position(|y| y == x));
+        let mut order: Vec<BlockId> = Vec::new();
+        for b in trace.iter() {
+            if !order.contains(&b) {
+                order.push(b);
+            }
+        }
         order
     }
 
@@ -695,14 +692,9 @@ mod tests {
                     edges.push((x, y, rng.gen_below(4)));
                 }
             }
-            let mut trg = Trg::from_edges(&edges);
-            if rng.gen_bool(0.5) {
-                // A partial fold's shape: the node list misses endpoints.
-                let map = trg.edges().map(|(x, y, w)| ((x.0, y.0), w)).collect();
-                let kept = trg.nodes().iter().copied().filter(|_| rng.gen_bool(0.5));
-                trg = Trg::from_parts(map, kept.collect());
-            }
-            // The order names some nodes, plus blocks without any edge.
+            let trg = Trg::from_edges(&edges);
+            // The order names some nodes, plus blocks without any edge: a
+            // partial fold's shape, where it misses endpoints.
             let mut order: Vec<BlockId> = nodes.iter().map(|&x| BlockId(x)).collect();
             order.extend((0..rng.gen_index(5) as u32).map(|x| BlockId(1000 + x)));
             rng.shuffle(&mut order);
@@ -724,14 +716,11 @@ mod tests {
 
     #[test]
     fn endpoints_missing_from_the_order_rank_after_it_by_id() {
-        // A partial fold's graph: edge endpoints 9 and 5 are neither in
-        // the order nor among the nodes. They rank after both, 5 before
-        // 9; with one slot the placement order is the heaviest edge's
-        // endpoints by rank, then the other edge's.
-        let mut edges = FxHashMap::default();
-        edges.insert((5, 9), 3);
-        edges.insert((1, 2), 1);
-        let trg = Trg::from_parts(edges, vec![BlockId(2), BlockId(1)]);
+        // A partial fold's graph: edge endpoints 9 and 5 are not in the
+        // order. They rank after it, 5 before 9; with one slot the
+        // placement order is the heaviest edge's endpoints by rank, then
+        // the other edge's.
+        let trg = Trg::from_edges(&[(5, 9, 3), (1, 2, 1)]);
         let order = [BlockId(2), BlockId(1)];
         let out = reduce_ordered(&trg, 1, &order);
         assert_eq!(out, reduce_scan_oracle(&trg, 1, &order));

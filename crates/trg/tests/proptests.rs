@@ -1,7 +1,7 @@
 //! Property-based tests for TRG construction and reduction, driven by the
 //! seeded `clop_util::check` harness.
 
-use clop_trace::{BlockId, Trace, TrimmedTrace};
+use clop_trace::{BlockId, Trace, TraceStats, TrimmedTrace};
 use clop_trg::{reduce, trg_layout, Trg, TrgConfig};
 use clop_util::check::check;
 use clop_util::Rng;
@@ -21,7 +21,7 @@ fn weights_sane() {
         let window = rng.gen_index(30) + 2;
         let t = Trace::from_indices(v).trim();
         let g = Trg::build(&t, window);
-        let n = t.num_distinct() as u64;
+        let n = TraceStats::of(&t).num_distinct() as u64;
         let reuses = t.len() as u64 - n.min(t.len() as u64);
         for (x, y, w) in g.edges() {
             assert!(x != y);
@@ -59,12 +59,13 @@ fn reduction_is_permutation() {
         let out = reduce(&g, k, &t);
         let mut seq: Vec<u32> = out.sequence.iter().map(|b| b.0).collect();
         seq.sort_unstable();
-        let mut expect: Vec<u32> = t.distinct_blocks().iter().map(|b| b.0).collect();
+        let stats = TraceStats::of(&t);
+        let mut expect: Vec<u32> = stats.heat_order().iter().map(|b| b.0).collect();
         expect.sort_unstable();
         assert_eq!(seq, expect);
         // Slots partition the same set.
         let total: usize = out.slots.iter().map(Vec::len).sum();
-        assert_eq!(total, t.num_distinct());
+        assert_eq!(total, stats.num_distinct());
     });
 }
 
@@ -97,7 +98,7 @@ fn emission_interleaves_slots() {
             // Every emitted block belongs to exactly one slot.
             let _ = slot_of(b);
         }
-        assert_eq!(out.sequence.len(), t.num_distinct());
+        assert_eq!(out.sequence.len(), TraceStats::of(&t).num_distinct());
     });
 }
 

@@ -23,10 +23,13 @@
 //!   at the same path merge into one document.
 //! - `CLOP_BENCH_QUICK=1`: smoke mode for CI — a tiny timing budget so
 //!   every benchmark body is exercised in `--release` without spending
-//!   minutes measuring. Targets consult [`Runner::quick`] to also shrink
-//!   their input sizes.
+//!   minutes measuring. Targets consult [`quick`] to also shrink their
+//!   input sizes. The switch is exactly `0` or `1` (unset or empty: off);
+//!   any other value prints the usage and exits with 2.
 
 use crate::json::{Json, ToJson};
+use crate::vars::Vars;
+use crate::ClopResult;
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -79,11 +82,24 @@ impl Default for Runner {
     }
 }
 
-/// True when `CLOP_BENCH_QUICK` requests smoke-test sizing: bench targets
-/// should scale their inputs down so a full `--release` run completes in
-/// seconds while still executing every benchmark body.
+/// True when `CLOP_BENCH_QUICK=1` requests smoke-test sizing: bench
+/// targets should scale their inputs down so a full `--release` run
+/// completes in seconds while still executing every benchmark body. The
+/// switch is exactly `0` or `1`, off when unset or empty; any other value
+/// prints the error and the usage and exits with status 2.
 pub fn quick() -> bool {
-    std::env::var("CLOP_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
+    match quick_from(&Vars::env()) {
+        Ok(on) => on,
+        Err(e) => {
+            eprintln!("{}\n{}", e, USAGE);
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The `CLOP_BENCH_QUICK` switch, read through `vars`.
+fn quick_from(vars: &Vars) -> ClopResult<bool> {
+    vars.flag("CLOP_BENCH_QUICK")
 }
 
 /// The usage line printed when a bench target's arguments do not parse.
@@ -377,10 +393,25 @@ mod tests {
     }
 
     #[test]
-    fn quick_reads_env() {
-        // Cannot mutate the process env safely in tests; just assert the
-        // current value is consistent with the variable.
-        let expect = std::env::var("CLOP_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-        assert_eq!(quick(), expect);
+    fn quick_switch_is_exactly_0_or_1() {
+        let quick_at = |value: Option<&str>| {
+            let lookup = |name: &str| {
+                assert_eq!(name, "CLOP_BENCH_QUICK");
+                value.map(str::to_string)
+            };
+            quick_from(&Vars(&lookup))
+        };
+        assert!(!quick_at(None).unwrap());
+        assert!(!quick_at(Some("")).unwrap());
+        assert!(!quick_at(Some("0")).unwrap());
+        assert!(quick_at(Some("1")).unwrap());
+        for bad in ["false", "true", "yes", "2", " 1"] {
+            let err = quick_at(Some(bad)).unwrap_err().to_string();
+            assert!(
+                err.contains("CLOP_BENCH_QUICK") && err.contains(bad),
+                "{}",
+                err
+            );
+        }
     }
 }

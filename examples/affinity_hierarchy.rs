@@ -7,7 +7,7 @@
 
 use code_layout_opt::affinity::{analyze, AffinityConfig};
 use code_layout_opt::core::{Profile, ProfileConfig};
-use code_layout_opt::trace::TrimmedTrace;
+use code_layout_opt::trace::{TraceStats, TrimmedTrace};
 use code_layout_opt::workloads::{primary_program, PrimaryBenchmark};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     let top = h.levels().last().expect("levels exist");
     println!(
         "{} functions partition into {} groups at w = {}:",
-        profile.func_trace.num_distinct(),
+        TraceStats::of(&profile.func_trace).num_distinct(),
         top.num_groups(),
         top.w()
     );

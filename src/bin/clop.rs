@@ -21,6 +21,7 @@ use code_layout_opt::core::{
     ProfileConfig, ProgramRun, PIPELINES,
 };
 use code_layout_opt::ir::{text, ExecConfig, Layout, Module};
+use code_layout_opt::trace::TraceStats;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -233,15 +234,21 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     println!("program:          {}", module.name);
     println!("bb trace length:  {}", profile.bb_trace.len());
     println!("fn trace length:  {}", profile.func_trace.len());
-    println!("distinct blocks:  {}", profile.bb_trace.num_distinct());
+    println!(
+        "distinct blocks:  {}",
+        TraceStats::of(&profile.bb_trace).num_distinct()
+    );
     println!("prune retention:  {:.1}%", 100.0 * profile.prune_retention);
     println!("instructions:     {}", profile.instructions);
-    let counts = profile.func_trace.occurrence_counts();
-    let mut hot: Vec<(usize, u64)> = counts.iter().copied().enumerate().collect();
-    hot.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    // Heat order: most activations first, ties toward the lower id.
+    let funcs = TraceStats::of(&profile.func_trace);
     println!("hottest functions:");
-    for (f, c) in hot.into_iter().take(top).filter(|&(_, c)| c > 0) {
-        println!("  {:<24} {} activations", module.functions[f].name, c);
+    for (f, c) in funcs.heat_order().iter().zip(funcs.heat_counts()).take(top) {
+        println!(
+            "  {:<24} {} activations",
+            module.functions[f.index()].name,
+            c
+        );
     }
     Ok(())
 }

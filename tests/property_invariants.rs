@@ -4,7 +4,9 @@
 use clop_oracle::pair_threshold;
 use code_layout_opt::affinity::{affinity_layout, AffinityConfig, PairThresholds};
 use code_layout_opt::cachesim::{simulate_corun_nway, simulate_solo_lines, CacheConfig};
-use code_layout_opt::trace::{BlockId, LruStack, Pruner, ReuseHistogram, Trace, TrimmedTrace};
+use code_layout_opt::trace::{
+    BlockId, LruStack, Pruner, ReuseHistogram, Trace, TraceStats, TrimmedTrace,
+};
 use code_layout_opt::trg::{trg_layout, TrgConfig};
 use code_layout_opt::util::check::check;
 use code_layout_opt::util::Rng;
@@ -118,7 +120,11 @@ fn layouts_are_permutations() {
     check("layouts_are_permutations", |rng| {
         let ids = random_ids(rng, 10, 150);
         let t = Trace::from_indices(ids).trim();
-        let mut expect: Vec<u32> = t.distinct_blocks().iter().map(|b| b.0).collect();
+        let mut expect: Vec<u32> = TraceStats::of(&t)
+            .heat_order()
+            .iter()
+            .map(|b| b.0)
+            .collect();
         expect.sort_unstable();
 
         let mut aff: Vec<u32> = affinity_layout(&t, AffinityConfig::up_to(6))
@@ -179,7 +185,7 @@ fn pruning_monotone() {
             let r = Pruner::new(budget).prune(&t);
             assert!(r.retention >= prev - 1e-12);
             assert!(r.retention <= 1.0 + 1e-12);
-            assert!(r.trace.num_distinct() <= budget);
+            assert!(TraceStats::of(&r.trace).num_distinct() <= budget);
             prev = r.retention;
         }
     });
