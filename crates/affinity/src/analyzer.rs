@@ -18,7 +18,7 @@
 //! inside the walk can resolve or witness anything within the bound, so
 //! all pair work is confined to `w_max - 1` partners per access:
 //!
-//! * an access of `a` credits each walk partner `x`'s uncovered
+//! * an access of `a` credits each walk partner `x`'s un-examined
 //!   occurrences, either with the forward footprint `fp<occurrence, now>`
 //!   (entries of the walk at or after the occurrence) when the occurrence
 //!   is still inside the window, or with its recorded backward witness
@@ -26,7 +26,11 @@
 //!   so the forward witness is infinite forever);
 //! * the access itself is recorded as a *pending* on every pair it has a
 //!   finite backward witness with (partner depth + 1), and in a per-block
-//!   occurrence queue that later partner accesses resolve lazily.
+//!   occurrence row that later partner accesses resolve lazily. Pendings
+//!   of equal witness over consecutive occurrences form one run, so a
+//!   pair direction holds one record per witness change, not one per
+//!   occurrence (see [`crate::shard`] for why a run stands for each of
+//!   its members).
 //!
 //! Occurrences whose partner never comes within the window are credited
 //! nowhere; pairs survive only when the per-direction credit count equals
@@ -35,9 +39,11 @@
 //! mergeable: [`PairThresholds::measure_jobs`] runs the engine of
 //! [`crate::shard`] over one region, or over several in parallel.
 //!
-//! Cost is O(N·w_max) stack work plus one credit per (occurrence,
-//! co-resident pair) — the paper's O(W·N·B) bound with the dense `B`
-//! factor replaced by actual co-residence counts.
+//! Cost is O(N·w_max) partner interactions — the paper's O(W·N·B) bound
+//! with the dense `B` factor replaced by actual co-residence — each O(1)
+//! amortized: a memoized pair lookup, a cursor compare, and a run
+//! extension or an examination whose work grows with the runs it
+//! resolves, not with the occurrences they cover.
 
 use crate::incremental::{AffinityDelta, AffinityState};
 use crate::shard::measure_region;
@@ -90,7 +96,7 @@ impl PairThresholds {
         if let [sh] = regions.as_slice() {
             let (ids, counts) = (stats.heat_order(), stats.heat_counts());
             let mut map = FxHashMap::default();
-            for ((lo, hi), (thr, fin_lo, fin_hi)) in measure_region(stats, w_max, *sh) {
+            for ((lo, hi), (thr, fin_lo, fin_hi)) in measure_region(stats, w_max, *sh).0 {
                 let (lo, hi) = (lo as usize, hi as usize);
                 if thr >= 2 && fin_lo == counts[lo] && fin_hi == counts[hi] {
                     map.insert((ids[lo].0, ids[hi].0), thr);

@@ -97,21 +97,37 @@ impl AffinityDelta {
     /// normalized to `>= 2`.
     pub(crate) fn of_region(seq: u64, stats: &TraceStats, w_max: u32, sh: Shard) -> AffinityDelta {
         let ids = stats.heat_order();
-        let mut pairs: Vec<((u32, u32), PairRecord)> = measure_region(stats, w_max, sh)
+        let (region, counts) = measure_region(stats, w_max, sh);
+        let mut pairs: Vec<((u32, u32), PairRecord)> = region
             .into_iter()
             .map(|((lo, hi), rec)| ((ids[lo as usize].0, ids[hi as usize].0), rec))
             .collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
-        let mut counts = vec![0u64; stats.num_distinct()];
-        for &r in &stats.ranked_events()[sh.core_start..sh.core_end] {
-            counts[r as usize] += 1;
-        }
         let mut occ: Vec<(u32, u64)> = ids
             .iter()
             .zip(counts)
             .filter(|&(_, c)| c > 0)
-            .map(|(id, c)| (id.0, c))
+            .map(|(id, c)| (id.0, u64::from(c)))
             .collect();
+        occ.sort_unstable_by_key(|&(id, _)| id);
+        AffinityDelta {
+            seq,
+            w_max,
+            pairs,
+            occ,
+        }
+    }
+
+    /// A delta from records keyed by id in any order, for the tests that
+    /// rebuild one from the retired kernel.
+    #[cfg(test)]
+    pub(crate) fn from_records(
+        seq: u64,
+        w_max: u32,
+        mut pairs: Vec<((u32, u32), PairRecord)>,
+        mut occ: Vec<(u32, u64)>,
+    ) -> AffinityDelta {
+        pairs.sort_unstable_by_key(|&(k, _)| k);
         occ.sort_unstable_by_key(|&(id, _)| id);
         AffinityDelta {
             seq,

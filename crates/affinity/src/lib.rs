@@ -12,8 +12,10 @@
 //! [`analyzer`] computes pairwise affinity with the efficient single-pass
 //! stack method the paper describes in §II-B ("we run a stack simulation of
 //! the trace; at each step we see all basic blocks that occur in a w-window
-//! with the accessed block"), O(W·N) per trace, run shard-parallel by
-//! [`shard`]. It is exact up to the window bound: every pair threshold
+//! with the accessed block"), O(W·N) per trace with O(1) amortized work
+//! per partner interaction (pendings are kept per run of equal witness,
+//! not per occurrence), run shard-parallel by [`shard`]. It is exact up to
+//! the window bound: every pair threshold
 //! `≤ w_max` equals the literal quadratic reading of Definition 3, the
 //! `clop_oracle::pair_threshold` test oracle (tested in `analyzer.rs` and
 //! `tests/shard_identity.rs`).

