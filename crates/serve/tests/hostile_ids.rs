@@ -5,7 +5,8 @@
 //! 1, and the served orders equal the batch orders.
 //!
 //! Ids that share their low bits, as aligned addresses do, are folded and
-//! answered the same way.
+//! answered the same way, and a shard naming many distinct ids but making
+//! few pairs folds in memory bounded by its events.
 //!
 //! This is a binary of its own because the failure it guards against is
 //! an allocation abort, which takes the whole test process down.
@@ -13,7 +14,59 @@
 use clop_core::build_pipeline;
 use clop_core::incremental::{AnalysisParams, VersionState};
 use clop_serve::{admit, Admission, ServeConfig, Server, Session, SessionConfig};
-use clop_trace::{split_shards_columnar, BlockId, Pruner, StatsState, TrimmedTrace};
+use clop_trace::{split_shards_columnar, write_shard, BlockId, Pruner, StatsState, TrimmedTrace};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the bytes the current thread holds and the most it has held, so
+/// a test can bound what one call allocates while other tests run.
+struct PerThread;
+
+thread_local! {
+    static HELD: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn account(delta: isize) {
+    let _ = HELD.try_with(|h| {
+        h.set(h.get() + delta);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(h.get())));
+    });
+}
+
+unsafe impl GlobalAlloc for PerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        account(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        account(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        account(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        account(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PerThread = PerThread;
+
+/// The result of `f` and the most bytes this thread held during it beyond
+/// what it held before.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = HELD.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - before) as usize)
+}
 
 const PIPELINES: [&str; 4] = ["function-affinity", "function-trg", "bb-affinity", "bb-trg"];
 
@@ -146,5 +199,45 @@ fn ids_sharing_their_low_half_fold_and_answer_every_pipeline() {
             .map(|b| b.0)
             .collect();
         assert_eq!(served, batch_order(&t, name, &p), "{}", name);
+    }
+}
+
+#[test]
+fn many_distinct_ids_with_few_pairs_fold_in_memory_bounded_by_the_shard() {
+    // The backward overlap scans 65,536 ids that never recur and the core
+    // loops over 8 others: 65,544 distinct ids, but only the core's blocks
+    // and the scan's last few ids make pairs. A valid shard may carry any
+    // overlap; only its last `lookback` events matter.
+    let p = AnalysisParams::default();
+    let scan: Vec<u32> = (0..65_536u32).map(|j| j << 8 | 0xff).collect();
+    let core: Vec<u32> = (0..4_096u32).map(|i| i % 8).collect();
+    let lookback = p.affinity.w_max.max(2) as usize;
+    let lookback = lookback.max(p.trg.window) + 1;
+    let fold = |overlap: &[u32]| {
+        let segment = TrimmedTrace::from_indices(overlap.iter().chain(&core).copied());
+        let mut bytes = Vec::new();
+        write_shard(&mut bytes, 0, overlap.len(), segment.len(), &segment).unwrap();
+        let Admission::Accept { shard, .. } = admit(&bytes, 0.0) else {
+            panic!("a valid shard was not admitted");
+        };
+        let mut state = VersionState::new(p);
+        let (absorbed, peak) = peak_during(|| state.absorb_shard(&shard));
+        assert!(absorbed.unwrap());
+        (state, peak, segment.len())
+    };
+    let (mut wide, peak, events) = fold(&scan);
+    assert!(
+        peak <= 128 * events,
+        "absorbing {} events held {} bytes at peak",
+        events,
+        peak
+    );
+    let (mut cut, _, _) = fold(&scan[scan.len() - lookback..]);
+    for name in PIPELINES {
+        let order = |state: &mut VersionState| -> Vec<u32> {
+            let result = state.layout_query(name).unwrap();
+            result.order.iter().map(|b| b.0).collect()
+        };
+        assert_eq!(order(&mut wide), order(&mut cut), "{}", name);
     }
 }
